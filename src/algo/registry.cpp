@@ -72,14 +72,6 @@ class SpecReader : public SpecValues {
   return std::make_shared<TokenSpace>(TokenSpace::contiguous(specs));
 }
 
-[[nodiscard]] RunResult finish(const RunMetrics& metrics) {
-  RunResult result;
-  result.metrics = metrics;
-  result.rounds = metrics.rounds;
-  result.completed = metrics.completed;
-  return result;
-}
-
 /// The token-labelling families derive K_v(0) from their TokenSpace; an
 /// explicit override would silently diverge from the labelling.
 void reject_initial_override(const AlgoSpec& spec, const AlgoBuildContext& ctx) {
@@ -112,14 +104,9 @@ RunResult run_single_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   if (source >= ctx.n) fail("single_source: source must be < n");
   ctx.k_realized = ctx.k;
   SingleSourceConfig cfg{ctx.n, ctx.k, static_cast<NodeId>(source), priority};
-  UnicastEngineOptions opts;
-  opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.run_timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
   UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
-                       SingleSourceNode::initial_knowledge(cfg), ctx.k, opts);
-  return finish(engine.run(cap_of(ctx)));
+                       SingleSourceNode::initial_knowledge(cfg), ctx.k, {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -129,9 +116,7 @@ RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const TokenSpacePtr space =
       spread_space(ctx.n, ctx.k, r.sources(ctx.sources));
   ctx.k_realized = space->total_tokens();
-  return run_multi_source(ctx.n, space, adversary, cap_of(ctx),
-                          ctx.engine_pool, ctx.faults,
-                          ctx.trial_timeout_seconds, ctx.telemetry);
+  return run_multi_source(ctx.n, space, adversary, cap_of(ctx), ctx);
 }
 
 /// Shared K_v(0) selection for the knowledge-shaped broadcast/push
@@ -157,9 +142,7 @@ RunResult run_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                               Adversary& adversary) {
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
   return run_phase_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
-                            initial, adversary, cap_of(ctx), ctx.engine_pool,
-                            ctx.faults, ctx.trial_timeout_seconds,
-                            ctx.telemetry);
+                            initial, adversary, cap_of(ctx), ctx);
 }
 
 RunResult run_random_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -167,18 +150,15 @@ RunResult run_random_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx
   const SpecReader r(spec, ctx);
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
   return run_random_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
-                             initial, adversary, cap_of(ctx), r.seed(),
-                             ctx.engine_pool, ctx.faults,
-                             ctx.trial_timeout_seconds, ctx.telemetry);
+                             initial, adversary, cap_of(ctx), r.seed(), ctx);
 }
 
 RunResult run_neighbor_exchange_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                                        Adversary& adversary) {
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
-  return finish(run_neighbor_exchange(
+  return to_run_result(run_neighbor_exchange(
       ctx.n, static_cast<std::size_t>(ctx.k_realized), initial, adversary,
-      cap_of(ctx), ctx.engine_pool, ctx.faults, ctx.trial_timeout_seconds,
-      ctx.telemetry));
+      cap_of(ctx), ctx));
 }
 
 RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -188,18 +168,14 @@ RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const TokenSpacePtr space =
       spread_space(ctx.n, ctx.k, r.sources(ctx.sources));
   ctx.k_realized = space->total_tokens();
-  ObliviousMsOptions opts;
+  ObliviousMsOptions opts{ctx};
   opts.seed = r.seed();
   opts.max_rounds = cap_of(ctx);  // same 200·n·k default as every family
   opts.force_phase1 = r.get_bool("force_phase1", false);
   opts.f_override = r.get_size("f", 0);
-  opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
   const ObliviousMsResult result =
       run_oblivious_multi_source(ctx.n, space, adversary, opts);
-  return finish(result.total);
+  return to_run_result(result.total);
 }
 
 RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -211,9 +187,7 @@ RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const TokenSpacePtr space = spread_space(ctx.n, ctx.k, r.sources(1));
   ctx.k_realized = space->total_tokens();
   return run_spanning_tree(ctx.n, space, adversary, cap_of(ctx),
-                           static_cast<NodeId>(root), ctx.engine_pool,
-                           ctx.faults, ctx.trial_timeout_seconds,
-                           ctx.telemetry);
+                           static_cast<NodeId>(root), ctx);
 }
 
 /// Shared core of the asynchronous push / push-pull families: knowledge-
@@ -224,22 +198,18 @@ RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
 RunResult run_async_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                            Adversary& adversary, bool push_pull) {
   const SpecReader r(spec, ctx);
-  AsyncEngineOptions opts;
+  AsyncEngineOptions opts{ctx};
   opts.rate = r.get_double("rate", 1.0);
   if (!(opts.rate > 0.0)) fail(spec.family + ": rate must be > 0");
   opts.sigma = r.get_double("sigma", 1.0);
   if (!(opts.sigma > 0.0)) fail(spec.family + ": sigma must be > 0");
   opts.push_pull = push_pull;
   opts.seed = r.seed();
-  opts.pool = ctx.engine_pool;
-  opts.faults = ctx.faults;
-  opts.run_timeout_seconds = ctx.trial_timeout_seconds;
-  opts.telemetry = ctx.telemetry;
   const std::vector<KnowledgeSet> initial =
       initial_of(spec, ctx, &ctx.k_realized);
   AsyncEngine engine(adversary, initial,
                      static_cast<std::size_t>(ctx.k_realized), opts);
-  return finish(engine.run(cap_of(ctx)));
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 RunResult run_async_push_family(const AlgoSpec& spec, AlgoBuildContext& ctx,

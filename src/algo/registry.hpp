@@ -35,12 +35,9 @@
 #include "common/knowledge_set.hpp"
 #include "common/spec.hpp"
 #include "sim/config.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/run_options.hpp"
 
 namespace dyngossip {
-
-class FaultPlan;
-class ThreadPool;
 
 /// Thrown on malformed algorithm spec text, unknown families/keys,
 /// out-of-range values, or a build context a family cannot honour.  A
@@ -82,11 +79,12 @@ using AlgoKeySpec = SpecKey;
 
 [[nodiscard]] const char* algo_key_kind_name(AlgoKeySpec::Kind kind);
 
-/// Run-side inputs shared by every algorithm factory.  The spec's own keys
-/// (sources=, seed=, ...) always win over the context's defaults, so a
-/// fully-pinned spec reproduces one run while a bare family follows the
-/// scenario row.
-struct AlgoBuildContext {
+/// Run-side inputs shared by every algorithm factory: the RunOptions
+/// (sim/run_options.hpp) forwarded to every engine the family builds, plus
+/// the task.  The spec's own keys (sources=, seed=, ...) always win over
+/// the context's defaults, so a fully-pinned spec reproduces one run while
+/// a bare family follows the scenario row.
+struct AlgoBuildContext : RunOptions {
   std::size_t n = 64;       ///< nodes
   std::uint32_t k = 128;    ///< requested token count
   /// Default source count for the inherently multi-source families
@@ -105,22 +103,6 @@ struct AlgoBuildContext {
   /// random_flooding, neighbor_exchange) accept it; the token-labelling
   /// families derive K_v(0) from their TokenSpace and reject an override.
   const std::vector<KnowledgeSet>* initial_knowledge = nullptr;
-  /// Worker pool for intra-round engine sharding; null keeps engines
-  /// serial.  Hand a pool here only when the trial itself runs on a
-  /// non-pool thread (sim/runner/shard_schedule.hpp decides which axis a
-  /// table parallelizes); results are bit-identical either way.
-  ThreadPool* engine_pool = nullptr;
-  /// Per-trial fault plan (not owned; null: fault-free).  Forwarded to the
-  /// engine(s) the family builds; decisions are position-keyed so results
-  /// stay bit-identical at any thread count (see fault/fault_plan.hpp).
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget per run in seconds (0: none); over-budget runs
-  /// return RunStatus::kTimeout.
-  double trial_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp) forwarded to every engine the
-  /// family builds (both phases of a two-phase run).  Null members keep the
-  /// exact legacy code path; attached observers never change results.
-  Telemetry telemetry;
   /// Out: realized token count (k rounded to the realized labelling, e.g.
   /// s·⌊k/s⌋ under an s-source split).  Set by every factory.
   std::uint64_t k_realized = 0;

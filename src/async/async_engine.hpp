@@ -46,16 +46,16 @@
 #include "graph/dynamic_tracker.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/run_control.hpp"
 #include "telemetry/timeline.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
-class ThreadPool;
-
-/// Engine options (the async analogue of UnicastEngineOptions).
-struct AsyncEngineOptions {
+/// Engine options: the shared RunOptions (sim/run_options.hpp) plus the
+/// async engine's own.  The event loop is serial by design (see file
+/// comment) and never touches RunOptions::pool; the watchdog reads the
+/// clock every 64 popped events.
+struct AsyncEngineOptions : RunOptions {
   /// Poisson activation rate λ per node, in activations per clock unit.
   double rate = 1.0;
   /// Edge lifetime: clock units each schedule round's graph stays live.
@@ -66,18 +66,6 @@ struct AsyncEngineOptions {
   /// Seed of the trial's SplitMix64 position streams (clock gaps, neighbor
   /// picks, token picks).
   std::uint64_t seed = 1;
-  /// Accepted for interface parity with the round engines; the event loop
-  /// is serial by design (see file comment) and never touches it.
-  ThreadPool* pool = nullptr;
-  /// Per-trial fault plan (not owned; null or inactive keeps the exact
-  /// fault-free path).  Liveness advances per schedule round; delivery
-  /// fates are keyed by event position (round, event seq, leg).
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget in seconds (0: none); checked every 64 popped
-  /// events, an over-budget run stops with RunStatus::kTimeout.
-  double run_timeout_seconds = 0.0;
-  /// Observer plane; null members keep the exact legacy code path.
-  Telemetry telemetry;
 };
 
 /// Drives asynchronous push / push-pull spreading over a clocked schedule.
@@ -96,12 +84,11 @@ class AsyncEngine {
     return complete_nodes_ == knowledge_.size();
   }
 
-  /// Run-level completion: all_complete() on the fault-free path; under an
-  /// active plan, at least one live node and every live node complete.
-  [[nodiscard]] bool run_complete() const;
+  /// The run-level completion predicate (RunControl::run_complete).
+  [[nodiscard]] bool run_complete() const { return control_.run_complete(); }
 
-  /// Fraction of (node, token) pairs currently known.
-  [[nodiscard]] double coverage() const;
+  /// Residual coverage (RunControl::coverage).
+  [[nodiscard]] double coverage() const { return control_.coverage(); }
 
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
     return knowledge_[v];
@@ -129,10 +116,10 @@ class AsyncEngine {
   /// One clock activation of `ev.node` (neighbor pick + push / pull legs).
   void process(const ActivationEvent& ev);
 
-  /// One transmitted token `from` → `to` (leg 0: push, 1: pull reply);
-  /// counts the message, rolls the event-position fault fate, applies the
+  /// One transmitted token to `to` (leg 0: push, 1: pull reply); counts
+  /// the message, rolls the event-position fault fate, applies the
   /// delivery.  No-op when `tok` is kNoToken (empty knowledge).
-  void deliver_leg(NodeId from, NodeId to, TokenId tok, std::uint32_t leg,
+  void deliver_leg(NodeId to, TokenId tok, std::uint32_t leg,
                    std::uint64_t event_no);
 
   /// Applies one delivered token to `to`'s knowledge.
@@ -143,10 +130,6 @@ class AsyncEngine {
                                    std::uint64_t event_no,
                                    std::uint64_t salt) const;
 
-  /// Records one probe sample for finished round r (same delta/gauge/flush
-  /// semantics as UnicastEngine::probe_observe).
-  void probe_observe(Round r, bool flush);
-
   ClockedAdversary clocked_;
   PoissonClock clock_;
   std::vector<KnowledgeSet> knowledge_;
@@ -154,13 +137,9 @@ class AsyncEngine {
   std::size_t complete_nodes_ = 0;
   bool push_pull_;
   std::uint64_t seed_;
-  FaultPlan* faults_;
-  bool fault_active_;
-  bool fault_amnesia_;
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
   DynamicGraphTracker tracker_;
   RunMetrics metrics_;
+  RunControl control_;
   Round round_ = 0;
 
   EventQueue queue_;
@@ -171,12 +150,7 @@ class AsyncEngine {
   RoundGraphView view_;                  ///< CSR snapshot of the live graph
   ConnectivityChecker connectivity_;
 
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr).
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
-  // Timeline bookkeeping (touched only when telemetry_.timeline != nullptr):
+  // Timeline bookkeeping (touched only with a timeline attached):
   // start of the current window's event batch.
   TimelineRecorder::Clock::time_point batch_begin_;
 };

@@ -53,15 +53,9 @@ std::vector<std::unique_ptr<UnicastAlgorithm>> NeighborExchangeNode::make_all(
 RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
                                  const std::vector<KnowledgeSet>& initial,
                                  Adversary& adversary, Round max_rounds,
-                                 ThreadPool* pool, FaultPlan* faults,
-                                 double timeout_seconds, Telemetry telemetry) {
-  UnicastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+                                 const RunOptions& run) {
   UnicastEngine engine(NeighborExchangeNode::make_all(n, k, initial), adversary,
-                       initial, k, opts);
+                       initial, k, {run});
   return engine.run(max_rounds);
 }
 

@@ -50,16 +50,12 @@ class NeighborExchangeNode final : public UnicastAlgorithm {
   std::unordered_map<NodeId, std::size_t> sent_up_to_;
 };
 
-/// Runs the baseline to completion (or the round cap).  Optional worker
-/// pool, fault plan, and wall-clock budget forward to the engine (same
-/// contract as the sim/simulator.hpp entry points).
+/// Runs the baseline to completion (or the round cap); `run` forwards to
+/// the engine (same contract as the sim/simulator.hpp entry points).
 [[nodiscard]] RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
                                                const std::vector<KnowledgeSet>& initial,
                                                Adversary& adversary,
                                                Round max_rounds,
-                                               ThreadPool* pool = nullptr,
-                                               FaultPlan* faults = nullptr,
-                                               double timeout_seconds = 0.0,
-                                               Telemetry telemetry = {});
+                                               const RunOptions& run = {});
 
 }  // namespace dyngossip

@@ -28,12 +28,9 @@
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/run_control.hpp"
 
 namespace dyngossip {
-
-class FaultPlan;
-class ThreadPool;
 
 /// Per-node algorithm interface for the local-broadcast model.
 ///
@@ -55,31 +52,13 @@ class BroadcastAlgorithm {
   virtual void on_receive(Round r, std::span<const TokenId> tokens) = 0;
 };
 
-/// Engine options.
-struct BroadcastEngineOptions {
+/// Engine options: the shared RunOptions (pool, faults, timeout,
+/// telemetry; see sim/run_options.hpp) plus the broadcast engine's own.
+struct BroadcastEngineOptions : RunOptions {
   /// Record individual learning events (O(nk) memory) in the learning log.
   bool record_learning_events = false;
-  /// Worker pool for intra-round sharding; null (or a 1-worker pool) keeps
-  /// the fully serial path.  Same contract as UnicastEngineOptions::pool:
-  /// node algorithms must touch only node-local state, and the engine must
-  /// run on a non-pool thread (see sim/runner/shard_schedule.hpp for the
-  /// trial-vs-intra-round policy).  Results are bit-identical to the serial
-  /// engine at any thread count.
-  ThreadPool* pool = nullptr;
   /// Minimum node count before sharding engages.
   std::size_t min_parallel_nodes = 4096;
-  /// Per-trial fault plan (not owned).  Null or inactive keeps the exact
-  /// fault-free code path; decisions are position-keyed (fault/fault_plan.hpp)
-  /// so faulty runs stay bit-identical at any thread count.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget for run() in seconds (0: none); over-budget runs
-  /// stop with RunStatus::kTimeout.
-  double run_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp): an optional per-round probe
-  /// and an optional wall-clock timeline, both non-owning.  Null pointers
-  /// keep the exact legacy code path; attached observers only READ engine
-  /// state, so payload checksums are byte-identical either way.
-  Telemetry telemetry;
 };
 
 /// Drives n BroadcastAlgorithm instances against an adversary.
@@ -106,14 +85,11 @@ class BroadcastEngine {
     return complete_nodes_ == knowledge_.size();
   }
 
-  /// Run-level completion: all_complete() on the fault-free path; under an
-  /// active fault plan, at least one live node exists and every live node
-  /// is complete (crashed nodes don't count until recovery).
-  [[nodiscard]] bool run_complete() const;
+  /// The run-level completion predicate (RunControl::run_complete).
+  [[nodiscard]] bool run_complete() const { return control_.run_complete(); }
 
-  /// Fraction of (node, token) pairs currently known (1.0 for an empty
-  /// universe).
-  [[nodiscard]] double coverage() const;
+  /// Residual coverage (RunControl::coverage).
+  [[nodiscard]] double coverage() const { return control_.coverage(); }
 
   /// Authoritative knowledge of node v.
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
@@ -149,14 +125,6 @@ class BroadcastEngine {
     std::vector<TokenId> inbox;
   };
 
-  /// Number of node shards this round (1 = serial path).
-  [[nodiscard]] std::size_t plan_shards() const noexcept;
-
-  /// Records one probe sample at round r when the probe's stride says so
-  /// (`flush` forces a final sample so per-round sums stay exact at any
-  /// stride).  Only called with a probe attached.
-  void probe_observe(Round r, std::uint64_t edges, bool flush);
-
   std::vector<std::unique_ptr<BroadcastAlgorithm>> nodes_;
   Adversary& adversary_;
   std::vector<KnowledgeSet> knowledge_;
@@ -164,23 +132,10 @@ class BroadcastEngine {
   std::size_t complete_nodes_ = 0;
   DynamicGraphTracker tracker_;
   RunMetrics metrics_;
+  RunControl control_;
   LearningLog log_;
   Round round_ = 0;
-  ThreadPool* pool_;
   std::size_t min_parallel_nodes_;
-  FaultPlan* faults_;
-  bool fault_active_;   ///< faults_ != null && faults_->active()
-  bool fault_amnesia_;  ///< fault_active_ && amnesia wipes on crash
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr):
-  // metrics snapshot at the last recorded sample (samples carry per-round
-  // deltas), fault-fate counters accumulated across stride-skipped rounds,
-  // and the last round graph's edge count for the final flush sample.
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
   RoundHook hook_;
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries

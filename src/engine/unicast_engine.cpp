@@ -1,13 +1,11 @@
 #include "engine/unicast_engine.hpp"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/check.hpp"
 #include "fault/fault_plan.hpp"
 #include "sim/runner/parallel.hpp"
 #include "sim/runner/thread_pool.hpp"
-#include "telemetry/round_probe.hpp"
 #include "telemetry/timeline.hpp"
 
 namespace dyngossip {
@@ -20,26 +18,17 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       adversary_(adversary),
       knowledge_(std::move(initial_knowledge)),
       k_(k),
+      control_(opts, kRoundCadence, knowledge_, k, complete_nodes_, metrics_),
       log_(opts.record_learning_events),
       start_offset_(opts.start_round - 1),
       round_(opts.start_round - 1),
       max_payloads_per_edge_(opts.max_payloads_per_edge),
-      pool_(opts.pool),
       min_parallel_nodes_(opts.min_parallel_nodes),
-      faults_(opts.faults),
-      fault_active_(opts.faults != nullptr && opts.faults->active()),
-      fault_amnesia_(fault_active_ && opts.faults->amnesia()),
-      run_timeout_seconds_(opts.run_timeout_seconds),
-      telemetry_(opts.telemetry),
       prev_graph_(0) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
   DG_CHECK(opts.start_round >= 1);
-  for (const auto& kn : knowledge_) {
-    DG_CHECK(kn.size() == k_);
-    if (kn.all()) ++complete_nodes_;
-  }
   if (opts.tracker != nullptr) {
     tracker_ = opts.tracker;
     DG_CHECK(tracker_->num_nodes() == nodes_.size());
@@ -50,14 +39,6 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
     tracker_ = owned_tracker_.get();
   }
   prev_graph_ = Graph(nodes_.size());  // G_{start-1} as seen by the adversary view
-}
-
-std::size_t UnicastEngine::plan_shards() const noexcept {
-  if (pool_ == nullptr || pool_->size() < 2) return 1;
-  if (nodes_.size() < min_parallel_nodes_) return 1;
-  // 4× oversubscription: parallel_for self-schedules shard indices, so
-  // extra shards absorb per-node cost imbalance (hub nodes, dense rows).
-  return std::min(pool_->size() * 4, nodes_.size());
 }
 
 void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
@@ -76,7 +57,7 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
         // Under amnesia a recovered node's algorithm state legitimately
         // diverges from its wiped knowledge mirror; such sends are filtered
         // (not counted, not delivered) instead of tripping the invariant.
-        DG_CHECK(fault_amnesia_);
+        DG_CHECK(control_.amnesia());
         continue;
       }
     }
@@ -95,15 +76,15 @@ void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
   const std::size_t n = nodes_.size();
   const std::size_t chunk = (n + shards - 1) / shards;
   send_shards_.resize(shards);
-  parallel_for(*pool_, shards, [&](std::size_t s) {
-    const TimelineSpan span(telemetry_.timeline, "send_shard", "shard");
+  parallel_for(*control_.pool(), shards, [&](std::size_t s) {
+    const TimelineSpan span(control_.timeline(), "send_shard", "shard");
     SendShard& sh = send_shards_[s];
     sh.traffic.clear();
     sh.counts = MessageCounts{};
     const auto lo = static_cast<NodeId>(s * chunk);
     const auto hi = static_cast<NodeId>(std::min(n, (s + 1) * chunk));
     for (NodeId v = lo; v < hi; ++v) {
-      if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
+      if (control_.down(v)) continue;  // crashed: silent
       const std::span<const NodeId> neigh = view_.neighbors(v);
       Outbox out(v, sh.traffic);
       const std::size_t mark = sh.traffic.size();
@@ -142,8 +123,8 @@ void UnicastEngine::deliver_sharded(Round r, std::size_t shards) {
   }
   const std::size_t chunk = (n + shards - 1) / shards;
   deliver_shards_.resize(shards);
-  parallel_for(*pool_, shards, [&](std::size_t s) {
-    const TimelineSpan span(telemetry_.timeline, "deliver_shard", "shard");
+  parallel_for(*control_.pool(), shards, [&](std::size_t s) {
+    const TimelineSpan span(control_.timeline(), "deliver_shard", "shard");
     DeliverShard& sh = deliver_shards_[s];
     sh = DeliverShard{};
     const auto lo = static_cast<NodeId>(s * chunk);
@@ -155,7 +136,7 @@ void UnicastEngine::deliver_sharded(Round r, std::size_t shards) {
       for (std::size_t j = recipient_begin_[v]; j < recipient_begin_[v + 1]; ++j) {
         const std::size_t idx = record_of_[j];
         const SentRecord& rec = traffic_[idx];
-        const std::uint8_t fate = fault_active_ ? fate_[idx] : 0;
+        const std::uint8_t fate = control_.fault_active() ? fate_[idx] : 0;
         if (fate == kDrop) continue;
         const int copies = fate == kDup ? 2 : 1;
         for (int c = 0; c < copies; ++c) {
@@ -184,22 +165,11 @@ void UnicastEngine::deliver_sharded(Round r, std::size_t shards) {
 Round UnicastEngine::step() {
   const Round r = ++round_;
   const std::size_t n = nodes_.size();
-  const TimelineSpan round_span(telemetry_.timeline, "round", "round");
+  const TimelineSpan round_span(control_.timeline(), "round", "round");
 
   // 0. Fault plane: advance the liveness mask into round r (serial, before
-  // any sharded phase — the mask is the plan's only mutable state).  Nodes
-  // that crashed this round lose their knowledge under amnesia; otherwise
-  // they retain it and merely stop participating until recovery.
-  if (fault_active_) {
-    faults_->begin_round(r);
-    if (fault_amnesia_) {
-      for (const NodeId v : faults_->crashed_this_round()) {
-        if (knowledge_[v].all()) --complete_nodes_;
-        knowledge_[v].reset_all();
-        if (knowledge_[v].all()) ++complete_nodes_;  // k = 0 universe only
-      }
-    }
-  }
+  // any sharded phase — the mask is the plan's only mutable state).
+  control_.begin_round(r);
 
   // 1. Adversary fixes G_r with full visibility of state and history.  The
   // returned reference is adversary-owned and stays valid through the round;
@@ -217,20 +187,20 @@ Round UnicastEngine::step() {
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
 
-  const std::size_t shards = plan_shards();
+  const std::size_t shards = control_.plan_shards(min_parallel_nodes_);
 
   // 2. Send step: each node sees its sorted neighbor span (served by the
   // CSR snapshot — no per-node allocation or sort) and queues per-neighbor
   // payloads.  Sharded: per-shard outboxes, merged in node order.
   {
-    const TimelineSpan span(telemetry_.timeline, "send_phase", "phase");
+    const TimelineSpan span(control_.timeline(), "send_phase", "phase");
     arc_budget_.assign(view_.num_arcs(), 0);
     if (shards > 1) {
       send_phase_sharded(r, shards);
     } else {
       traffic_.clear();
       for (NodeId v = 0; v < n; ++v) {
-        if (fault_active_ && !faults_->is_live(v)) continue;  // crashed: silent
+        if (control_.down(v)) continue;  // crashed: silent
         const std::span<const NodeId> neigh = view_.neighbors(v);
         Outbox out(v, traffic_);
         const std::size_t mark = traffic_.size();
@@ -245,33 +215,33 @@ Round UnicastEngine::step() {
   // of evaluation order — so the sharded delivery below observes the same
   // fates the serial loop would.  A payload addressed to a crashed node is
   // dropped outright; drops still cost the sender (counted at send time).
-  if (fault_active_) {
+  if (control_.fault_active()) {
     fate_.assign(traffic_.size(), 0);
-    const bool delivery_faults = faults_->has_delivery_faults();
+    const bool delivery_faults = control_.faults()->has_delivery_faults();
     if (delivery_faults) arc_seq_.assign(view_.num_arcs(), 0);
     for (std::size_t i = 0; i < traffic_.size(); ++i) {
       const SentRecord& rec = traffic_[i];
-      if (!faults_->is_live(rec.to)) {
+      if (control_.down(rec.to)) {
         fate_[i] = static_cast<std::uint8_t>(FaultPlan::Fate::kDrop);
         continue;
       }
       if (!delivery_faults) continue;
       const std::size_t arc = view_.arc_index(rec.from, rec.to);
       fate_[i] = static_cast<std::uint8_t>(
-          faults_->delivery_fate(r, arc, arc_seq_[arc]++));
+          control_.faults()->delivery_fate(r, arc, arc_seq_[arc]++));
     }
   }
 
   // Probe-only fate accounting: a pure read of the sealed fates (never the
   // plan), so a probed faulty run delivers exactly what the unprobed one
   // does.
-  if (telemetry_.probe != nullptr && fault_active_) {
+  if (control_.probing() && control_.fault_active()) {
     constexpr auto kDropF = static_cast<std::uint8_t>(FaultPlan::Fate::kDrop);
     constexpr auto kDupF =
         static_cast<std::uint8_t>(FaultPlan::Fate::kDuplicate);
     for (const std::uint8_t fate : fate_) {
-      probe_dropped_ += fate == kDropF ? 1 : 0;
-      probe_duplicated_ += fate == kDupF ? 1 : 0;
+      control_.probe_dropped += fate == kDropF ? 1 : 0;
+      control_.probe_duplicated += fate == kDupF ? 1 : 0;
     }
   }
 
@@ -279,7 +249,7 @@ Round UnicastEngine::step() {
   // before algorithms observe the payloads.  The sharded path needs batch
   // learning counts, so individual event recording keeps the serial loop.
   {
-    const TimelineSpan span(telemetry_.timeline, "deliver_phase", "phase");
+    const TimelineSpan span(control_.timeline(), "deliver_phase", "phase");
     if (shards > 1 && !log_.recording_events()) {
       deliver_sharded(r, shards);
     } else {
@@ -288,7 +258,7 @@ Round UnicastEngine::step() {
           static_cast<std::uint8_t>(FaultPlan::Fate::kDuplicate);
       for (std::size_t i = 0; i < traffic_.size(); ++i) {
         const SentRecord& rec = traffic_[i];
-        const std::uint8_t fate = fault_active_ ? fate_[i] : 0;
+        const std::uint8_t fate = control_.fault_active() ? fate_[i] : 0;
         if (fate == kDrop) continue;
         const int copies = fate == kDup ? 2 : 1;
         for (int c = 0; c < copies; ++c) {
@@ -309,10 +279,8 @@ Round UnicastEngine::step() {
   }
 
   metrics_.rounds = r - start_offset_;  // rounds executed by THIS engine/phase
-  if (telemetry_.probe != nullptr) {
-    probe_edges_ = g.num_edges();
-    probe_observe(r, probe_edges_, /*flush=*/false);
-  }
+  control_.round_graph(g.num_edges());
+  control_.round_done(r);
   if (hook_) hook_(r, g, metrics_);
   // Swap (not move) so both buffers recycle; copy-assignment into the
   // retained previous graph reuses its adjacency capacity.
@@ -321,111 +289,19 @@ Round UnicastEngine::step() {
   return r;
 }
 
-void UnicastEngine::probe_observe(Round r, std::uint64_t edges, bool flush) {
-  RoundProbe& probe = *telemetry_.probe;
-  if (!flush && !probe.wants(r)) return;  // deltas keep accumulating
-  if (flush && probe.last_round() == static_cast<std::uint64_t>(r)) return;
-  RoundProbeSample s;
-  s.round = r;
-  s.coverage = coverage();
-  s.learned = metrics_.learnings - probe_prev_.learnings;
-  s.sent = metrics_.total_messages() - probe_prev_.total_messages();
-  s.dropped = probe_dropped_;
-  s.duplicated = probe_duplicated_;
-  s.requests = metrics_.unicast.request - probe_prev_.unicast.request;
-  s.served = metrics_.unicast.token - probe_prev_.unicast.token;
-  s.edges_inserted = metrics_.tc - probe_prev_.tc;
-  s.edges_removed = metrics_.deletions - probe_prev_.deletions;
-  s.edges = edges;
-  s.crashed = fault_active_
-                  ? static_cast<std::uint64_t>(nodes_.size() -
-                                               faults_->live_count())
-                  : 0;
-  probe.record(s);
-  probe_prev_ = metrics_;
-  probe_dropped_ = 0;
-  probe_duplicated_ = 0;
-}
-
-bool UnicastEngine::run_complete() const {
-  if (!fault_active_) return all_complete();
-  if (faults_->live_count() == 0) return false;
-  const auto n = static_cast<NodeId>(knowledge_.size());
-  for (NodeId v = 0; v < n; ++v) {
-    if (faults_->is_live(v) && !knowledge_[v].all()) return false;
-  }
-  return true;
-}
-
-double UnicastEngine::coverage() const {
-  const std::uint64_t universe =
-      static_cast<std::uint64_t>(knowledge_.size()) * k_;
-  if (universe == 0) return 1.0;
-  std::uint64_t known = 0;
-  for (const KnowledgeSet& kn : knowledge_) known += kn.count();
-  return static_cast<double>(known) / static_cast<double>(universe);
-}
-
 RunMetrics UnicastEngine::run(Round max_rounds) {
   return run_until([](const UnicastEngine& e) { return e.run_complete(); },
                    max_rounds);
 }
 
 RunMetrics UnicastEngine::run_until(const StopPredicate& done, Round max_rounds) {
-  // Fault-free runs keep the legacy loop exactly; fault-active runs add
-  // stall detection (a lossy plan must terminate as kStalled, not spin a
-  // dead execution to the 200·n·k cap) and the all-down short-circuit.
-  // The stall window is generous — request/answer protocols legitimately
-  // go many rounds between learnings.
-  const Round stall_window =
-      fault_active_
-          ? std::max<Round>(256, static_cast<Round>(2 * nodes_.size()))
-          : 0;
-  std::uint64_t last_learnings = metrics_.learnings;
-  Round quiet_rounds = 0;
-  bool stalled = false;
-  bool all_down = false;
-  bool timed_out = false;
-  const auto started = std::chrono::steady_clock::now();
-  std::uint32_t ticks = 0;
-  while (!done(*this) && round_ < max_rounds) {
-    if (fault_active_ && faults_->live_count() == 0 &&
-        !faults_->can_recover()) {
-      all_down = true;
-      break;
-    }
-    step();
-    if (fault_active_) {
-      if (metrics_.learnings != last_learnings) {
-        last_learnings = metrics_.learnings;
-        quiet_rounds = 0;
-      } else if (++quiet_rounds >= stall_window) {
-        stalled = true;
-        break;
-      }
-    }
-    // Wall-clock watchdog, amortized to one clock read per 32 rounds.
-    if (run_timeout_seconds_ > 0.0 && (++ticks % 32u) == 0u &&
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      started)
-                .count() >= run_timeout_seconds_) {
-      timed_out = true;
-      break;
-    }
-  }
-  metrics_.completed = run_complete();
-  metrics_.status = metrics_.completed ? RunStatus::kCompleted
-                    : timed_out        ? RunStatus::kTimeout
-                    : stalled          ? RunStatus::kStalled
-                    : all_down         ? RunStatus::kAllDown
-                                       : RunStatus::kRoundCap;
-  metrics_.coverage = coverage();
-  // Final flush sample so per-round sums reconcile with the totals at any
-  // sampling stride (a no-op when the last round was already sampled).
-  if (telemetry_.probe != nullptr && round_ > start_offset_) {
-    probe_observe(round_, probe_edges_, /*flush=*/true);
-  }
-  return metrics_;
+  return control_.run(
+      round_, start_offset_,
+      [&] { return !done(*this) && round_ < max_rounds; },
+      [this] {
+        step();
+        return true;
+      });
 }
 
 }  // namespace dyngossip

@@ -32,12 +32,9 @@
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/run_control.hpp"
 
 namespace dyngossip {
-
-class FaultPlan;
-class ThreadPool;
 
 /// Outbox handed to a node during its send step; delivery is end-of-round.
 ///
@@ -80,8 +77,9 @@ class UnicastAlgorithm {
   virtual void on_receive(Round r, NodeId from, const Message& m) = 0;
 };
 
-/// Engine options.
-struct UnicastEngineOptions {
+/// Engine options: the shared RunOptions (pool, faults, timeout,
+/// telemetry; see sim/run_options.hpp) plus the unicast engine's own.
+struct UnicastEngineOptions : RunOptions {
   /// First round number this engine executes (phase-2 engines of
   /// Algorithm 2 continue a running execution).
   Round start_round = 1;
@@ -92,35 +90,10 @@ struct UnicastEngineOptions {
   std::uint32_t max_payloads_per_edge = 4;
   /// Record individual learning events (O(nk) memory).
   bool record_learning_events = false;
-  /// Worker pool for intra-round sharding; null (or a 1-worker pool) keeps
-  /// the fully serial path.  Sharding requires that node algorithms touch
-  /// only node-local state in send()/on_receive() (true for every algorithm
-  /// in this repo), and the engine must run on a non-pool thread: the pool
-  /// is a leaf executor (see sim/runner/thread_pool.hpp), so hand engines a
-  /// pool only when trials are NOT already parallelized across it
-  /// (sim/runner/shard_schedule.hpp implements that policy).  Results are
-  /// bit-identical to the serial engine at any thread count: the per-shard
-  /// outboxes are merged in node order and delivery preserves each
-  /// recipient's serial record subsequence.
-  ThreadPool* pool = nullptr;
   /// Minimum node count before sharding engages (below it fork/join
   /// overhead dominates a round).  Tests lower this to force sharding at
   /// small n.
   std::size_t min_parallel_nodes = 4096;
-  /// Per-trial fault plan (not owned; multi-phase executions share one).
-  /// Null or inactive keeps the exact fault-free code path.  All fault
-  /// decisions are position-keyed (see fault/fault_plan.hpp), so faulty
-  /// runs stay bit-identical at any thread count.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget for run()/run_until() in seconds (0: none).  An
-  /// over-budget run stops with RunStatus::kTimeout — by construction a
-  /// non-reproducible outcome (it depends on the host, not the seed).
-  double run_timeout_seconds = 0.0;
-  /// Observer plane (telemetry/telemetry.hpp): an optional per-round probe
-  /// and an optional wall-clock timeline, both non-owning.  Null pointers
-  /// keep the exact legacy code path; attached observers only READ engine
-  /// state, so payload checksums are byte-identical either way.
-  Telemetry telemetry;
 };
 
 /// Drives n UnicastAlgorithm instances against an adversary.
@@ -152,15 +125,11 @@ class UnicastEngine {
     return complete_nodes_ == knowledge_.size();
   }
 
-  /// The run-level completion predicate: all_complete() on the fault-free
-  /// path; under an active fault plan, at least one node is live and every
-  /// live node knows all k tokens (crashed nodes don't count toward
-  /// completion until recovery).
-  [[nodiscard]] bool run_complete() const;
+  /// The run-level completion predicate (RunControl::run_complete).
+  [[nodiscard]] bool run_complete() const { return control_.run_complete(); }
 
-  /// Fraction of (node, token) pairs currently known (1.0 for an empty
-  /// universe) — the residual-coverage metric of a degraded run.
-  [[nodiscard]] double coverage() const;
+  /// Residual coverage (RunControl::coverage).
+  [[nodiscard]] double coverage() const { return control_.coverage(); }
 
   /// Authoritative knowledge of node v.
   [[nodiscard]] const KnowledgeSet& knowledge_of(NodeId v) const {
@@ -207,9 +176,6 @@ class UnicastEngine {
     std::size_t newly_complete = 0;
   };
 
-  /// Number of node shards this round (1 = serial path).
-  [[nodiscard]] std::size_t plan_shards() const noexcept;
-
   /// Validates and accounts the records a node appended to `sink` since
   /// `mark` (shared by the serial and sharded send paths).
   void validate_sent(NodeId v, std::vector<SentRecord>& sink, std::size_t mark,
@@ -217,11 +183,6 @@ class UnicastEngine {
 
   void send_phase_sharded(Round r, std::size_t shards);
   void deliver_sharded(Round r, std::size_t shards);
-
-  /// Records one probe sample at round r when the probe's stride says so
-  /// (`flush` forces a final sample so per-round sums stay exact at any
-  /// stride).  Only called with a probe attached.
-  void probe_observe(Round r, std::uint64_t edges, bool flush);
 
   std::vector<std::unique_ptr<UnicastAlgorithm>> nodes_;
   Adversary& adversary_;
@@ -231,25 +192,12 @@ class UnicastEngine {
   std::unique_ptr<DynamicGraphTracker> owned_tracker_;
   DynamicGraphTracker* tracker_;
   RunMetrics metrics_;
+  RunControl control_;
   LearningLog log_;
   Round start_offset_;
   Round round_;
   std::uint32_t max_payloads_per_edge_;
-  ThreadPool* pool_;
   std::size_t min_parallel_nodes_;
-  FaultPlan* faults_;
-  bool fault_active_;    ///< faults_ != null && faults_->active()
-  bool fault_amnesia_;   ///< fault_active_ && amnesia wipes on crash
-  double run_timeout_seconds_;
-  Telemetry telemetry_;
-  // Probe bookkeeping (touched only when telemetry_.probe != nullptr):
-  // metrics snapshot at the last recorded sample (samples carry per-round
-  // deltas), fault-fate counters accumulated across stride-skipped rounds,
-  // and the last round graph's edge count for the final flush sample.
-  RunMetrics probe_prev_;
-  std::uint64_t probe_dropped_ = 0;
-  std::uint64_t probe_duplicated_ = 0;
-  std::uint64_t probe_edges_ = 0;
   RoundHook hook_;
   Graph prev_graph_;
   std::vector<SentRecord> prev_messages_;
@@ -258,7 +206,7 @@ class UnicastEngine {
   ConnectivityChecker connectivity_;      ///< BFS buffers for the G_r check
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
   std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc
-  // Fault-path scratch (touched only when fault_active_), reused across
+  // Fault-path scratch (touched only when fault_active()), reused across
   // rounds: per-record delivery fates and per-arc delivery sequences.
   std::vector<std::uint8_t> fate_;        ///< FaultPlan::Fate per traffic record
   std::vector<std::uint32_t> arc_seq_;    ///< delivery sequence per directed arc

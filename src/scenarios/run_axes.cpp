@@ -195,9 +195,9 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
         actx.sources = row.sources;
         actx.cap = row.cap;
         actx.seed = seed;
-        actx.engine_pool = engine_pool;
+        actx.pool = engine_pool;
         actx.faults = &plan;
-        actx.trial_timeout_seconds = axes.trial_timeout();
+        actx.timeout_seconds = axes.trial_timeout();
         if (sink != nullptr) actx.telemetry.probe = &probes[r * trials + i];
         actx.telemetry.timeline = timeline;
         const RunResult res = run_algo(algo, actx, *adversary);

@@ -42,7 +42,8 @@ TrialOut run_trial(std::size_t n, std::uint32_t k, Round sigma, double churn_rat
       .set("interval", static_cast<std::uint64_t>(sigma));
   const std::unique_ptr<Adversary> adversary = build_adversary(spec, n, seed);
   const RunResult r =
-      run_single_source(n, k, /*source=*/0, *adversary, cap, engine_pool);
+      run_single_source(n, k, /*source=*/0, *adversary, cap,
+                        {.pool = engine_pool, .telemetry = {}});
   TrialOut out;
   out.ok = r.completed;
   out.msgs = static_cast<double>(r.metrics.unicast.total());

@@ -62,8 +62,9 @@ CachedResult run_trial(const Case& c, std::size_t n, std::uint32_t k,
                        Telemetry telemetry) {
   const std::unique_ptr<Adversary> adversary =
       build_adversary(case_spec(c, n, target_edges), n, seed);
-  const RunResult r = run_single_source(n, k, 0, *adversary, horizon,
-                                        engine_pool, nullptr, 0.0, telemetry);
+  const RunResult r =
+      run_single_source(n, k, 0, *adversary, horizon,
+                        {.pool = engine_pool, .telemetry = telemetry});
   return make_cached_result(n, k, r);
 }
 

@@ -78,7 +78,7 @@ CachedResult run_pair_trial(const AlgoSpec& algo, const AdversarySpec& adv,
   actx.sources = 1;
   actx.cap = cap;
   actx.seed = seed;
-  actx.engine_pool = engine_pool;
+  actx.pool = engine_pool;
   actx.telemetry = telemetry;
   const RunResult res = run_algo(algo, actx, *adversary);
   return make_cached_result(n, actx.k_realized, res);

@@ -150,7 +150,8 @@ void SweepService::run_sweep(
       }
     }
 
-    bool owner = true;
+    slot.pending = std::make_shared<Pending>();
+    slot.pending->key_text = key.canonical_text();
     if (cacheable) {
       // In-flight dedup: a second session requesting a key another session
       // is already computing just waits on the same Pending — its row
@@ -164,13 +165,19 @@ void SweepService::run_sweep(
         ++hits;
         continue;
       }
-      slot.pending = std::make_shared<Pending>();
-      slot.pending->key_text = key.canonical_text();
+      // An owner stores its row before it erases its inflight_ entry under
+      // this lock, so a key that finished between the lookup above and
+      // here is in the cache now: look again rather than recompute it.
+      if (cache_ != nullptr) {
+        if (std::optional<CachedResult> hit = cache_->lookup(key)) {
+          slot.pending = nullptr;
+          slot.row = *hit;
+          slot.cached = true;
+          ++hits;
+          continue;
+        }
+      }
       inflight_[key.digest()] = slot.pending;
-    } else {
-      slot.pending = std::make_shared<Pending>();
-      slot.pending->key_text = key.canonical_text();
-      owner = true;
     }
     ++misses;
 
@@ -179,7 +186,7 @@ void SweepService::run_sweep(
     // The trial body (engines stay serial: the pool's workers are busy
     // running tickets, so intra-round sharding would nest the pool).
     scheduler_.enqueue(session, [this, pending, digest, sweep, req, cacheable,
-                                 seed = slot.seed, owner] {
+                                 seed = slot.seed] {
       CachedResult row;
       std::string error;
       try {
@@ -197,7 +204,6 @@ void SweepService::run_sweep(
         actx.sources = req.sources;
         actx.cap = req.cap;
         actx.seed = seed;
-        actx.engine_pool = nullptr;
         actx.faults = &plan;
         const RunResult res = run_algo(sweep.algo, actx, *adversary);
         row = make_cached_result(req.n, actx.k_realized, res);
@@ -211,7 +217,7 @@ void SweepService::run_sweep(
       } catch (const std::exception& e) {
         error = e.what();
       }
-      if (cacheable && owner) {
+      if (cacheable) {
         std::lock_guard<std::mutex> lock(inflight_mu_);
         const auto it = inflight_.find(digest);
         if (it != inflight_.end() && it->second == pending) {

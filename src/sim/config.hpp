@@ -21,6 +21,11 @@ struct RunResult {
   }
 };
 
+/// The RunResult of one finished run's metrics.
+[[nodiscard]] inline RunResult to_run_result(const RunMetrics& metrics) {
+  return {metrics, metrics.rounds, metrics.completed};
+}
+
 /// Result of an Algorithm 2 (Oblivious-Multi-Source) run with phase split.
 struct ObliviousMsResult {
   RunMetrics total;    ///< merged across phases

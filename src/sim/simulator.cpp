@@ -16,92 +16,49 @@
 
 namespace dyngossip {
 
-namespace {
-
-[[nodiscard]] RunResult finish(const RunMetrics& metrics) {
-  RunResult result;
-  result.metrics = metrics;
-  result.rounds = metrics.rounds;
-  result.completed = metrics.completed;
-  return result;
-}
-
-}  // namespace
-
 RunResult run_single_source(std::size_t n, std::uint32_t k, NodeId source,
                             Adversary& adversary, Round max_rounds,
-                            ThreadPool* pool, FaultPlan* faults,
-                            double timeout_seconds, Telemetry telemetry) {
+                            const RunOptions& run) {
   SingleSourceConfig cfg{n, k, source};
-  UnicastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
   UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
-                       SingleSourceNode::initial_knowledge(cfg), k, opts);
-  return finish(engine.run(max_rounds));
+                       SingleSourceNode::initial_knowledge(cfg), k, {run});
+  return to_run_result(engine.run(max_rounds));
 }
 
 RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
                            Adversary& adversary, Round max_rounds,
-                           ThreadPool* pool, FaultPlan* faults,
-                           double timeout_seconds, Telemetry telemetry) {
+                           const RunOptions& run) {
   MultiSourceConfig cfg{n, space};
-  UnicastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
   UnicastEngine engine(MultiSourceNode::make_all(cfg), adversary,
-                       space->initial_knowledge(n), space->total_tokens(), opts);
-  return finish(engine.run(max_rounds));
+                       space->initial_knowledge(n), space->total_tokens(), {run});
+  return to_run_result(engine.run(max_rounds));
 }
 
 RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
                             Adversary& adversary, Round max_rounds, NodeId root,
-                            ThreadPool* pool, FaultPlan* faults,
-                            double timeout_seconds, Telemetry telemetry) {
+                            const RunOptions& run) {
   SpanningTreeConfig cfg{n, space, root};
-  UnicastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
   UnicastEngine engine(SpanningTreeNode::make_all(cfg), adversary,
-                       space->initial_knowledge(n), space->total_tokens(), opts);
-  return finish(engine.run(max_rounds));
+                       space->initial_knowledge(n), space->total_tokens(), {run});
+  return to_run_result(engine.run(max_rounds));
 }
 
 RunResult run_phase_flooding(std::size_t n, std::size_t k,
                              const std::vector<KnowledgeSet>& initial,
                              Adversary& adversary, Round max_rounds,
-                             ThreadPool* pool, FaultPlan* faults,
-                             double timeout_seconds, Telemetry telemetry) {
-  BroadcastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+                             const RunOptions& run) {
   BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, initial), adversary,
-                         initial, k, opts);
-  return finish(engine.run(max_rounds));
+                         initial, k, {run});
+  return to_run_result(engine.run(max_rounds));
 }
 
 RunResult run_random_flooding(std::size_t n, std::size_t k,
                               const std::vector<KnowledgeSet>& initial,
                               Adversary& adversary, Round max_rounds,
-                              std::uint64_t seed, ThreadPool* pool,
-                              FaultPlan* faults, double timeout_seconds,
-                              Telemetry telemetry) {
-  BroadcastEngineOptions opts;
-  opts.pool = pool;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  opts.telemetry = telemetry;
+                              std::uint64_t seed, const RunOptions& run) {
   BroadcastEngine engine(RandomFloodingNode::make_all(n, k, initial, seed),
-                         adversary, initial, k, opts);
-  return finish(engine.run(max_rounds));
+                         adversary, initial, k, {run});
+  return to_run_result(engine.run(max_rounds));
 }
 
 ObliviousMsResult run_oblivious_multi_source(std::size_t n,
@@ -127,8 +84,7 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   if (small_s) {
     result.skipped_phase1 = true;
     const RunResult direct =
-        run_multi_source(n, space, adversary, max_rounds, opts.pool,
-                         opts.faults, opts.timeout_seconds, opts.telemetry);
+        run_multi_source(n, space, adversary, max_rounds, opts);
     result.phase2 = direct.metrics;
     result.total = direct.metrics;
     result.completed = direct.completed;
@@ -178,12 +134,8 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   }
 
   DynamicGraphTracker tracker(n);
-  UnicastEngineOptions ueopts;
+  UnicastEngineOptions ueopts{opts};
   ueopts.tracker = &tracker;
-  ueopts.pool = opts.pool;
-  ueopts.faults = opts.faults;
-  ueopts.run_timeout_seconds = opts.timeout_seconds;
-  ueopts.telemetry = opts.telemetry;
   UnicastEngine phase1(std::move(walkers), adversary,
                        space->initial_knowledge(n), k, ueopts);
 
@@ -231,12 +183,8 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   carried.reserve(n);
   for (NodeId v = 0; v < n; ++v) carried.push_back(phase1.knowledge_of(v));
 
-  UnicastEngineOptions p2opts;
+  UnicastEngineOptions p2opts{opts};
   p2opts.tracker = &tracker;
-  p2opts.pool = opts.pool;
-  p2opts.faults = opts.faults;
-  p2opts.run_timeout_seconds = opts.timeout_seconds;
-  p2opts.telemetry = opts.telemetry;
   p2opts.start_round = phase1.round() + 1;
   // Build the nodes before handing `carried` to the engine (argument
   // evaluation order must not race with the move).

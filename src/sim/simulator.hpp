@@ -11,70 +11,50 @@
 
 #include "adversary/adversary.hpp"
 #include "sim/config.hpp"
-#include "telemetry/telemetry.hpp"
+#include "sim/run_options.hpp"
 
 namespace dyngossip {
 
-class FaultPlan;
-class ThreadPool;
-
-// Every entry point takes an optional worker pool for intra-round engine
-// sharding (null: serial engine).  See UnicastEngineOptions::pool for the
-// contract; results are bit-identical at any thread count.  The optional
-// `faults` plan (null: fault-free) and `timeout_seconds` wall-clock budget
-// (0: none) are forwarded to the engine; multi-phase executions share one
-// plan so liveness history is continuous across phases.  The optional
-// `telemetry` observer plane (telemetry/telemetry.hpp) forwards to every
-// phase engine; null members keep the exact legacy code path.
+// Every entry point ends in the shared RunOptions (sim/run_options.hpp):
+// worker pool, fault plan, wall-clock budget and observers, forwarded to
+// every engine the run builds.  Multi-phase executions share one plan so
+// liveness history is continuous across phases.
 
 /// Runs Algorithm 1 (Single-Source-Unicast): all k tokens start at `source`.
 [[nodiscard]] RunResult run_single_source(std::size_t n, std::uint32_t k,
                                           NodeId source, Adversary& adversary,
                                           Round max_rounds,
-                                          ThreadPool* pool = nullptr,
-                                          FaultPlan* faults = nullptr,
-                                          double timeout_seconds = 0.0,
-                                          Telemetry telemetry = {});
+                                          const RunOptions& run = {});
 
 /// Runs Multi-Source-Unicast over an arbitrary token labelling.
 [[nodiscard]] RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
                                          Adversary& adversary, Round max_rounds,
-                                         ThreadPool* pool = nullptr,
-                                         FaultPlan* faults = nullptr,
-                                         double timeout_seconds = 0.0,
-                                         Telemetry telemetry = {});
+                                         const RunOptions& run = {});
 
 /// Runs the static spanning-tree baseline (static adversary required).
 [[nodiscard]] RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
                                           Adversary& adversary, Round max_rounds,
                                           NodeId root = 0,
-                                          ThreadPool* pool = nullptr,
-                                          FaultPlan* faults = nullptr,
-                                          double timeout_seconds = 0.0,
-                                          Telemetry telemetry = {});
+                                          const RunOptions& run = {});
 
 /// Runs naive phase flooding (local broadcast) from an arbitrary initial
 /// knowledge assignment.
 [[nodiscard]] RunResult run_phase_flooding(std::size_t n, std::size_t k,
                                            const std::vector<KnowledgeSet>& initial,
                                            Adversary& adversary, Round max_rounds,
-                                           ThreadPool* pool = nullptr,
-                                           FaultPlan* faults = nullptr,
-                                           double timeout_seconds = 0.0,
-                                           Telemetry telemetry = {});
+                                           const RunOptions& run = {});
 
 /// Runs uniform-random flooding (local broadcast).
 [[nodiscard]] RunResult run_random_flooding(std::size_t n, std::size_t k,
                                             const std::vector<KnowledgeSet>& initial,
                                             Adversary& adversary, Round max_rounds,
                                             std::uint64_t seed,
-                                            ThreadPool* pool = nullptr,
-                                            FaultPlan* faults = nullptr,
-                                            double timeout_seconds = 0.0,
-                                            Telemetry telemetry = {});
+                                            const RunOptions& run = {});
 
-/// Algorithm 2 options.
-struct ObliviousMsOptions {
+/// Algorithm 2 options: the shared RunOptions (used by both phase engines;
+/// the timeout covers the whole two-phase run, and probe samples carry
+/// phase-continuous round numbers) plus the algorithm's own.
+struct ObliviousMsOptions : RunOptions {
   std::uint64_t seed = 1;        ///< algorithm randomness (centers + walks)
   Round max_rounds = 0;          ///< global cap (0: derive from n·k)
   Round phase1_cap = 0;          ///< phase-1 cap (0: derive, clamped ℓ bound)
@@ -85,19 +65,6 @@ struct ObliviousMsOptions {
   /// saturates the formula at f = n, collapsing phase 1; benches drop the
   /// polylog factor to reproduce the asymptotic *shape* (see EXPERIMENTS.md).
   std::size_t f_override = 0;
-  /// Worker pool for intra-round sharding of both phase engines (null:
-  /// serial).  Same contract as UnicastEngineOptions::pool.
-  ThreadPool* pool = nullptr;
-  /// Per-trial fault plan shared by both phase engines (not owned; null:
-  /// fault-free).  Phase 2 continues phase 1's liveness history because the
-  /// plan keys liveness on absolute round numbers.
-  FaultPlan* faults = nullptr;
-  /// Wall-clock budget in seconds for the whole two-phase run (0: none).
-  double timeout_seconds = 0.0;
-  /// Observer plane shared by both phase engines (null members: legacy
-  /// path).  Probe samples carry phase-continuous round numbers, so the
-  /// per-round series of a two-phase run reconciles with the merged totals.
-  Telemetry telemetry;
 };
 
 /// Runs Algorithm 2 (Oblivious-Multi-Source-Unicast).  The adversary must

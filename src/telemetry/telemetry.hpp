@@ -2,7 +2,7 @@
 // recorder per run, both non-owning and both optional.
 //
 // Zero-cost-when-off contract: every telemetry touch inside an engine is
-// gated on the pointer (`if (telemetry_.probe != nullptr) ...`), so a run
+// gated on the pointer (`if (control_.probing()) ...`), so a run
 // built without probes takes the exact legacy code path — and a probed run
 // only *reads* engine state (counters the payload checksum already folds,
 // plus an O(n) coverage scan per sampled round), so payload checksums are
@@ -14,9 +14,8 @@ namespace dyngossip {
 class RoundProbe;
 class TimelineRecorder;
 
-/// Non-owning observer pointers, passed by value through the option
-/// structs (UnicastEngineOptions / BroadcastEngineOptions /
-/// AlgoBuildContext) and the simulator entry points.
+/// Non-owning observer pointers, passed by value inside RunOptions
+/// (sim/run_options.hpp) to every engine of a run.
 struct Telemetry {
   RoundProbe* probe = nullptr;
   TimelineRecorder* timeline = nullptr;

@@ -88,7 +88,7 @@ TEST(AsyncEngine, EventOrderIsBitIdenticalAtOneTwoAndEightThreads) {
     ctx.k = k;
     ctx.sources = 1;
     ctx.seed = 21;
-    ctx.engine_pool = &pool;
+    ctx.pool = &pool;
     const RunResult r =
         run_algo(AlgoSpec::parse("async_push_pull"), ctx, *adversary);
     const std::uint64_t checksum =
@@ -126,7 +126,7 @@ TEST(AsyncEngine, WallClockWatchdogReportsTimeout) {
   std::unique_ptr<Adversary> adversary = make_static(n);
   AsyncEngineOptions opts;
   opts.seed = 9;
-  opts.run_timeout_seconds = 1e-9;
+  opts.timeout_seconds = 1e-9;
   AsyncEngine engine(*adversary, single_source_knowledge(n, k), k, opts);
   const RunMetrics m = engine.run(1'000'000);
   EXPECT_FALSE(m.completed);

@@ -1,15 +1,17 @@
 // Tests for run termination classification (RunStatus) and the residual
-// coverage metric: starved runs report round_cap with partial coverage,
-// total loss stalls instead of spinning to the cap, a full crash without
-// recovery is terminal, and the wall-clock watchdog classifies timeouts.
+// coverage metric, on each of the three engines (local-broadcast flooding,
+// unicast single_source, continuous-time async_push), which share one run
+// contract (sim/run_control.hpp): starved runs report round_cap with
+// partial coverage, total loss stalls instead of spinning to the cap, a full
+// crash without recovery is terminal, and the wall-clock watchdog
+// classifies timeouts.
 #include <cstddef>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "adversary/churn.hpp"
-#include "core/flooding.hpp"
-#include "engine/broadcast_engine.hpp"
+#include "algo/registry.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
 #include "metrics/accounting.hpp"
@@ -27,32 +29,36 @@ ChurnAdversary make_adversary(std::size_t n) {
   return ChurnAdversary(cc);
 }
 
-/// Phase-flooding run on a churn schedule, tokens spread round-robin.
-RunMetrics run_flooding(std::size_t n, std::size_t k, Round cap,
-                        FaultPlan* faults, double timeout_seconds = 0.0) {
-  ChurnAdversary adversary = make_adversary(n);
-  std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
-  for (std::size_t t = 0; t < k; ++t) init[t % n].set(t);
-  BroadcastEngineOptions opts;
-  opts.faults = faults;
-  opts.run_timeout_seconds = timeout_seconds;
-  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary,
-                         init, k, opts);
-  return engine.run(cap);
-}
+/// One engine per parameter: the algorithm family that runs on it.
+class EngineRunStatus : public ::testing::TestWithParam<std::string> {
+ protected:
+  /// A 24-node, 24-token run of the family on a churn schedule, all tokens
+  /// starting at node 0.
+  [[nodiscard]] RunMetrics run(Round cap, FaultPlan* faults,
+                               double timeout_seconds = 0.0) const {
+    ChurnAdversary adversary = make_adversary(24);
+    AlgoBuildContext ctx;
+    ctx.n = 24;
+    ctx.k = 24;
+    ctx.cap = cap;
+    ctx.faults = faults;
+    ctx.timeout_seconds = timeout_seconds;
+    return run_algo(AlgoSpec::parse(GetParam()), ctx, adversary).metrics;
+  }
+};
 
-TEST(RunStatus, CompletedRunReportsFullCoverage) {
-  const RunMetrics m = run_flooding(24, 24, 6'000, nullptr);
+TEST_P(EngineRunStatus, CompletedRunReportsFullCoverage) {
+  const RunMetrics m = run(6'000, nullptr);
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.status, RunStatus::kCompleted);
   EXPECT_DOUBLE_EQ(m.coverage, 1.0);
 }
 
-TEST(RunStatus, StarvedRunHitsRoundCapWithResidualCoverage) {
+TEST_P(EngineRunStatus, StarvedRunHitsRoundCapWithResidualCoverage) {
   // Five rounds cannot finish a 24-token spread: the run must classify as
-  // round_cap and report the partial coverage it reached (the initial
-  // round-robin spread alone is 1/n of the universe, so strictly > 0).
-  const RunMetrics m = run_flooding(24, 24, 5, nullptr);
+  // round_cap and report the partial coverage it reached (the source alone
+  // holds 1/n of the universe, so strictly > 0).
+  const RunMetrics m = run(5, nullptr);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.status, RunStatus::kRoundCap);
   EXPECT_EQ(m.rounds, 5u);
@@ -60,42 +66,49 @@ TEST(RunStatus, StarvedRunHitsRoundCapWithResidualCoverage) {
   EXPECT_LT(m.coverage, 1.0);
 }
 
-TEST(RunStatus, TotalLossStallsInsteadOfSpinningToTheCap) {
+TEST_P(EngineRunStatus, TotalLossStallsInsteadOfSpinningToTheCap) {
   // drop=1 delivers nothing, ever.  The fault-active stall window
-  // (max(256, 2n) quiet rounds) must end the run as `stalled` long before
-  // the 6000-round cap — terminating, not spinning.
+  // (max(256, 2n) quiet rounds, or max(4096, 64n) quiet events on the async
+  // engine) must end the run as `stalled` long before the 6000-round cap —
+  // terminating, not spinning.
   FaultSpec spec;
   spec.drop = 1.0;
   FaultPlan plan(spec, 24, 9);
-  const RunMetrics m = run_flooding(24, 24, 6'000, &plan);
+  const RunMetrics m = run(6'000, &plan);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.status, RunStatus::kStalled);
   EXPECT_LT(m.rounds, 1'000u);
   EXPECT_LT(m.coverage, 1.0);
 }
 
-TEST(RunStatus, AllDownWithoutRecoveryIsTerminal) {
+TEST_P(EngineRunStatus, AllDownWithoutRecoveryIsTerminal) {
   FaultSpec spec;
   spec.crash = 1.0;  // recover stays 0: the outage is permanent
   FaultPlan plan(spec, 24, 9);
-  const RunMetrics m = run_flooding(24, 24, 6'000, &plan);
+  const RunMetrics m = run(6'000, &plan);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.status, RunStatus::kAllDown);
   EXPECT_LT(m.rounds, 16u);  // detected as soon as the mask empties
 }
 
-TEST(RunStatus, WatchdogClassifiesOverBudgetTrialsAsTimeout) {
+TEST_P(EngineRunStatus, WatchdogClassifiesOverBudgetTrialsAsTimeout) {
   // An unmeetable budget on a run that cannot complete (drop=1): the
-  // watchdog (checked every 32 rounds) must fire before the stall window
-  // would — timeout outranks stalled in the classification.
+  // watchdog (checked every 32 rounds, or every 64 events) must fire before
+  // the stall window would — timeout outranks stalled in the
+  // classification.
   FaultSpec spec;
   spec.drop = 1.0;
   FaultPlan plan(spec, 24, 9);
-  const RunMetrics m = run_flooding(24, 24, 6'000, &plan, 1e-9);
+  const RunMetrics m = run(6'000, &plan, 1e-9);
   EXPECT_FALSE(m.completed);
   EXPECT_EQ(m.status, RunStatus::kTimeout);
   EXPECT_LT(m.rounds, 256u);  // fired before the quiet window elapsed
 }
+
+INSTANTIATE_TEST_SUITE_P(Engines, EngineRunStatus,
+                         ::testing::Values("flooding", "single_source",
+                                           "async_push"),
+                         [](const auto& info) { return info.param; });
 
 TEST(RunStatus, StatusNamesAreStable) {
   // JSON/CSV consumers key on these strings; renames are format breaks.
