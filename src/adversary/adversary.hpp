@@ -42,11 +42,10 @@ struct BroadcastRoundView {
 /// r's graph.  The paper's unicast algorithms are deterministic, so showing
 /// the adversary the full state + previous-round traffic makes it exactly as
 /// strong as the strongly adaptive adversary (it can predict round r's
-/// messages).
+/// messages).  The view carries no G_{r-1}: every adversary built G_{r-1}
+/// itself, so one that needs topology history keeps it in its own state.
 struct UnicastRoundView {
   Round round = 0;
-  /// G_{r-1} (empty graph for r = 1).
-  const Graph* prev_graph = nullptr;
   /// Every message sent in round r-1.
   const std::vector<SentRecord>* prev_messages = nullptr;
   /// K_v(r-1): each node's token knowledge entering the round.
@@ -59,8 +58,6 @@ struct UnicastRoundView {
 /// valid until the next round call on the same adversary: at n ~ 10⁴ a
 /// by-value Graph return would copy n adjacency vectors every round, which
 /// the incremental adversaries (churn, request cutter) never need to pay.
-/// Engines that must retain the previous round's topology snapshot it
-/// themselves (UnicastEngine copy-assigns into a reused buffer).
 class Adversary {
  public:
   virtual ~Adversary() = default;

@@ -1,9 +1,9 @@
 #include "adversary/churn.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 
 namespace dyngossip {
@@ -68,16 +68,15 @@ const Graph& ChurnAdversary::next_graph(Round r) {
   //    An edge inserted at r0 must be present in rounds r0 .. r0+σ-1, so it
   //    may first be absent in round r0+σ.  inserted_at_ is sorted by key, so
   //    the removable list comes out in the canonical order directly.
-  std::vector<EdgeKey> removable;
-  removable.reserve(inserted_at_.size());
+  removable_.clear();
   for (const auto& [key, r0] : inserted_at_) {
-    if (r >= r0 + cfg_.sigma) removable.push_back(key);
+    if (r >= r0 + cfg_.sigma) removable_.push_back(key);
   }
-  rng_.shuffle(removable);
-  const std::size_t cuts = std::min(cfg_.churn_per_round, removable.size());
+  rng_.shuffle(removable_);
+  const std::size_t cuts = std::min(cfg_.churn_per_round, removable_.size());
   if (cuts > 0) {
-    std::vector<EdgeKey> cut(removable.begin(),
-                             removable.begin() + static_cast<std::ptrdiff_t>(cuts));
+    // The cut prefix is sorted in place; the shuffled tail is not read again.
+    const std::span<EdgeKey> cut(removable_.data(), cuts);
     std::sort(cut.begin(), cut.end());
     for (const EdgeKey key : cut) {
       const auto [u, v] = edge_endpoints(key);
@@ -102,7 +101,7 @@ const Graph& ChurnAdversary::next_graph(Round r) {
 
   // 3. Patch connectivity (these insertions are part of the adversary's
   //    committed schedule and are charged to TC like any other).
-  for (const EdgeKey key : connect_components(current_, rng_)) {
+  for (const EdgeKey key : connectivity_.connect(current_, rng_)) {
     pending_.push_back(key);
   }
 

@@ -19,6 +19,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/rng.hpp"
+#include "graph/connectivity.hpp"
 
 namespace dyngossip {
 
@@ -59,6 +60,8 @@ class ChurnAdversary final : public ObliviousAdversary {
   std::vector<std::pair<EdgeKey, Round>> inserted_at_;
   std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< compaction buffer
   std::vector<EdgeKey> pending_;  ///< edges inserted in the current round
+  std::vector<EdgeKey> removable_;  ///< σ-old edges, shuffled to pick cuts
+  ConnectivityChecker connectivity_;  ///< reused buffers of the repair
   Round last_round_ = 0;
 };
 

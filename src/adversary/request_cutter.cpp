@@ -1,10 +1,8 @@
 #include "adversary/request_cutter.hpp"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "common/check.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 
 namespace dyngossip {
@@ -29,17 +27,17 @@ const Graph& RequestCutterAdversary::unicast_round(const UnicastRoundView& view)
   // Cut edges that carried a request last round, before the token response
   // (which the algorithm sends this round) can traverse them.
   DG_CHECK(view.prev_messages != nullptr);
-  std::vector<EdgeKey> victims;
+  victims_.clear();
   for (const SentRecord& rec : *view.prev_messages) {
     if (rec.msg.type != MsgType::kRequest) continue;
     const EdgeKey key = edge_key(rec.from, rec.to);
     if (current_.has_edge(rec.from, rec.to) && rng_.bernoulli(cfg_.cut_probability)) {
-      victims.push_back(key);
+      victims_.push_back(key);
     }
   }
-  std::sort(victims.begin(), victims.end());
-  victims.erase(std::unique(victims.begin(), victims.end()), victims.end());
-  for (const EdgeKey key : victims) {
+  std::sort(victims_.begin(), victims_.end());
+  victims_.erase(std::unique(victims_.begin(), victims_.end()), victims_.end());
+  for (const EdgeKey key : victims_) {
     const auto [u, v] = edge_endpoints(key);
     if (current_.remove_edge(u, v)) ++cuts_;
   }
@@ -48,35 +46,34 @@ const Graph& RequestCutterAdversary::unicast_round(const UnicastRoundView& view)
   // will classify these as "new" and spend more requests — the point).
   // Victim edges are banned for this round: re-adding one would let the
   // pending response through, which a strongly adaptive adversary never
-  // allows.
-  const std::unordered_set<EdgeKey> banned(victims.begin(), victims.end());
+  // allows.  victims_ is sorted and unique, so the ban test is a binary search.
+  const auto banned = [this](EdgeKey key) {
+    return std::binary_search(victims_.begin(), victims_.end(), key);
+  };
   std::size_t guard = 0;
   while (current_.num_edges() < cfg_.target_edges && guard < 64 * cfg_.target_edges) {
     ++guard;
     const auto u = static_cast<NodeId>(rng_.next_below(cfg_.n));
     auto v = static_cast<NodeId>(rng_.next_below(cfg_.n - 1));
     if (v >= u) ++v;
-    if (banned.count(edge_key(u, v)) > 0) continue;
+    if (banned(edge_key(u, v))) continue;
     current_.add_edge(u, v);
   }
   // Reconnect components without resurrecting a banned edge.
-  ComponentInfo info = connected_components(current_);
-  while (info.count > 1) {
-    std::vector<std::vector<NodeId>> members(info.count);
-    for (NodeId v = 0; v < cfg_.n; ++v) members[info.labels[v]].push_back(v);
-    for (std::size_t c = 1; c < info.count; ++c) {
+  for (std::size_t count = connectivity_.components(current_).count; count > 1;
+       count = connectivity_.components(current_).count) {
+    for (std::size_t c = 1; c < count; ++c) {
       // Try random member pairs; a banned pair is re-rolled (some non-banned
       // pair always exists once components have >= 2 nodes total choices;
       // bounded retries keep this safe even in tiny graphs).
       for (int attempt = 0; attempt < 64; ++attempt) {
-        const NodeId a = rng_.pick(members[c - 1]);
-        const NodeId b = rng_.pick(members[c]);
-        if (attempt < 48 && banned.count(edge_key(a, b)) > 0) continue;
+        const NodeId a = rng_.pick(connectivity_.members(c - 1));
+        const NodeId b = rng_.pick(connectivity_.members(c));
+        if (attempt < 48 && banned(edge_key(a, b))) continue;
         current_.add_edge(a, b);
         break;
       }
     }
-    info = connected_components(current_);
   }
   return current_;
 }

@@ -16,10 +16,11 @@
 // the bench verifies the competitive bound still holds along the way.
 #pragma once
 
-#include <unordered_map>
+#include <vector>
 
 #include "adversary/adversary.hpp"
 #include "common/rng.hpp"
+#include "graph/connectivity.hpp"
 
 namespace dyngossip {
 
@@ -50,6 +51,9 @@ class RequestCutterAdversary final : public Adversary {
   Graph current_;
   Round last_round_ = 0;
   std::uint64_t cuts_ = 0;
+  // Per-round scratch, reused across rounds.
+  std::vector<EdgeKey> victims_;      ///< sorted, unique edges cut this round
+  ConnectivityChecker connectivity_;  ///< component labels for the repair
 };
 
 }  // namespace dyngossip

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 
 namespace dyngossip {
@@ -51,7 +50,7 @@ void SigmaStableChurnAdversary::rewire() {
 
   // 2. Patch connectivity (part of the committed schedule, charged to TC
   //    like every other insertion), then replenish to the target count.
-  connect_components(current_, rng_);
+  connectivity_.connect(current_, rng_);
   while (current_.num_edges() < cfg_.target_edges) {
     if (!add_random_edge()) break;
   }

@@ -27,6 +27,7 @@
 
 #include "adversary/adversary.hpp"
 #include "common/rng.hpp"
+#include "graph/connectivity.hpp"
 
 namespace dyngossip {
 
@@ -61,6 +62,7 @@ class SigmaStableChurnAdversary final : public ObliviousAdversary {
   Rng rng_;
   Graph current_;
   std::vector<EdgeKey> edge_scratch_;  ///< shuffle buffer for deletions
+  ConnectivityChecker connectivity_;   ///< reused buffers of the repair
   Round last_round_ = 0;
 };
 

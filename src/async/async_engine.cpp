@@ -79,14 +79,9 @@ TokenId AsyncEngine::pick_token(const KnowledgeSet& ks, std::uint64_t event_no,
                                 std::uint64_t salt) const {
   const std::size_t cnt = ks.count();
   if (cnt == 0) return kNoToken;
-  std::size_t idx =
+  const auto rank =
       static_cast<std::size_t>(position_hash(seed_, salt, event_no) % cnt);
-  for (const std::size_t pos : ks.set_bits()) {
-    if (idx == 0) return static_cast<TokenId>(pos);
-    --idx;
-  }
-  DG_CHECK(false);  // count() said cnt members
-  return kNoToken;
+  return static_cast<TokenId>(ks.nth_set(rank));
 }
 
 void AsyncEngine::learn(NodeId to, TokenId tok) {

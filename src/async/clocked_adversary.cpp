@@ -5,7 +5,7 @@
 namespace dyngossip {
 
 ClockedAdversary::ClockedAdversary(Adversary& inner, double sigma)
-    : inner_(inner), sigma_(sigma), prev_graph_(inner.num_nodes()) {
+    : inner_(inner), sigma_(sigma) {
   DG_CHECK(sigma_ > 0.0);
 }
 
@@ -14,14 +14,10 @@ const Graph& ClockedAdversary::next_round(
   const Round r = ++round_;
   UnicastRoundView view;
   view.round = r;
-  view.prev_graph = &prev_graph_;
   view.prev_messages = &no_messages_;
   view.knowledge = &knowledge;
   const Graph& g = inner_.unicast_round(view);
   DG_CHECK(g.num_nodes() == inner_.num_nodes());
-  // Snapshot after the call: the view above must still have seen G_{r-1}.
-  // Copy-assignment reuses the retained graph's adjacency capacity.
-  prev_graph_ = g;
   return g;
 }
 

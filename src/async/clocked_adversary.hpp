@@ -11,10 +11,10 @@
 //
 // The adapter advances the inner adversary one round at a time (incremental
 // adversaries depend on seeing every round) through an honest
-// UnicastRoundView: the previous window's graph, the entering knowledge,
-// and an empty traffic log — continuous-time sends have no round-aligned
-// "previous round's messages", so an adaptive adversary sees state but not
-// traffic (exactly the visibility an oblivious family ignores anyway).
+// UnicastRoundView: the entering knowledge and an empty traffic log —
+// continuous-time sends have no round-aligned "previous round's messages",
+// so an adaptive adversary sees state but not traffic (exactly the
+// visibility an oblivious family ignores anyway).
 #pragma once
 
 #include <vector>
@@ -61,8 +61,7 @@ class ClockedAdversary {
   Adversary& inner_;
   double sigma_;
   Round round_ = 0;
-  Graph prev_graph_;                       ///< snapshot shown as G_{r-1}
-  std::vector<SentRecord> no_messages_;    ///< always empty (see file comment)
+  std::vector<SentRecord> no_messages_;  ///< always empty (see file comment)
 };
 
 }  // namespace dyngossip

@@ -1,11 +1,10 @@
 // Disjoint-set union (union-find) with path halving and union by size.
 //
-// Used wherever the simulation reasons about connectivity: checking that an
-// adversary's round graph is connected (the model's standing assumption),
-// counting the connected components of the free-edge graph F(r) in the
-// Section-2 lower-bound adversary, and patching components together with the
-// minimum number of extra edges (the adversary adds ℓ−1 non-free edges to
-// connect ℓ components).
+// The Section-2 lower-bound adversary uses it to count the connected
+// components of the free-edge graph F(r) and to patch them together with the
+// minimum number of extra edges (ℓ−1 non-free edges connect ℓ components).
+// Round-graph checks and repairs use ConnectivityChecker's reusable BFS
+// (graph/connectivity.hpp), whose tests take this DSU as their reference.
 #pragma once
 
 #include <cstddef>

@@ -119,6 +119,20 @@ std::size_t DynamicBitset::find_next_set(std::size_t from) const noexcept {
   }
 }
 
+std::size_t DynamicBitset::nth_set(std::size_t rank) const noexcept {
+  if (rank >= count_) return size_;
+  for (std::size_t i = 0;; ++i) {
+    std::uint64_t w = words_[i];
+    const auto pop = static_cast<std::size_t>(std::popcount(w));
+    if (rank >= pop) {
+      rank -= pop;
+      continue;
+    }
+    for (; rank > 0; --rank) w &= w - 1;  // clear the lower set bits
+    return i * 64 + static_cast<std::size_t>(std::countr_zero(w));
+  }
+}
+
 std::vector<std::size_t> DynamicBitset::unset_positions() const {
   std::vector<std::size_t> out;
   out.reserve(size_ - count_);

@@ -176,6 +176,10 @@ class DynamicBitset {
   /// Index of the first set bit at position >= from, or size() if none.
   [[nodiscard]] std::size_t find_next_set(std::size_t from) const noexcept;
 
+  /// Position of the rank-th set bit (0-based, increasing order), or size()
+  /// if rank >= count().  One popcount per word up to the one holding it.
+  [[nodiscard]] std::size_t nth_set(std::size_t rank) const noexcept;
+
   /// All unset positions in increasing order (the "missing token" list of
   /// Algorithm 1, line 7).  Allocates; hot paths iterate unset_bits().
   [[nodiscard]] std::vector<std::size_t> unset_positions() const;

@@ -198,6 +198,13 @@ class KnowledgeSet {
   /// First present position >= from, or size() if none.
   [[nodiscard]] std::size_t find_next_set(std::size_t from) const noexcept;
 
+  /// The rank-th present position (0-based, increasing order), or size() if
+  /// rank >= count().  O(1) sparse; one popcount per word when dense.
+  [[nodiscard]] std::size_t nth_set(std::size_t rank) const noexcept {
+    if (dense_) return bits_.nth_set(rank);
+    return rank < elems_.size() ? static_cast<std::size_t>(elems_[rank]) : size_;
+  }
+
   /// All absent positions in increasing order.  Allocates; hot paths
   /// iterate unset_bits().
   [[nodiscard]] std::vector<std::size_t> unset_positions() const;

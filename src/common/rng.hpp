@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/check.hpp"
@@ -73,11 +74,17 @@ class Rng {
   [[nodiscard]] std::vector<std::uint64_t> sample_without_replacement(
       std::uint64_t universe, std::uint64_t count);
 
+  /// Picks a uniformly random element of a non-empty span.
+  template <typename T>
+  [[nodiscard]] const T& pick(std::span<const T> v) noexcept {
+    DG_CHECK(!v.empty());
+    return v[static_cast<std::size_t>(next_below(v.size()))];
+  }
+
   /// Picks a uniformly random element of a non-empty vector.
   template <typename T>
   [[nodiscard]] const T& pick(const std::vector<T>& v) noexcept {
-    DG_CHECK(!v.empty());
-    return v[static_cast<std::size_t>(next_below(v.size()))];
+    return pick(std::span<const T>(v));
   }
 
   /// Derives an independent child generator; use to give each subsystem its

@@ -47,6 +47,9 @@ void EdgeClassifier::begin_round(Round r, std::span<const NodeId> neighbors) {
   DG_CHECK(r > round_);
   round_ = r;
   DG_DCHECK(std::is_sorted(neighbors.begin(), neighbors.end()));
+  // Unchanged neighborhood: every record carries over as it stands, which
+  // is what the merge below would rebuild.
+  if (std::ranges::equal(neighbors, neighbors_)) return;
 
   std::swap(neighbors_, prev_neighbors_);
   std::swap(inserted_, prev_inserted_);
@@ -83,15 +86,6 @@ EdgeClass EdgeClassifier::classify(NodeId w, bool token_arriving_now) const {
   const std::size_t slot = slot_of(w);
   DG_CHECK(slot != kNoSlot);
   return classify_slot(slot, token_arriving_now);
-}
-
-EdgeClass EdgeClassifier::classify_slot(std::size_t slot,
-                                        bool token_arriving_now) const {
-  DG_DCHECK(slot < neighbors_.size());
-  // "New in round r": inserted at the beginning of round r or r-1.
-  if (inserted_[slot] + 1 >= round_) return EdgeClass::kNew;
-  if (contributed_[slot] != 0 || token_arriving_now) return EdgeClass::kContributive;
-  return EdgeClass::kIdle;
 }
 
 void EdgeClassifier::note_learning_over(NodeId w) {

@@ -17,9 +17,13 @@
 // information the paper argues each node can maintain.
 //
 // Storage is a sorted parallel-array keyed by the position in the round's
-// sorted neighbor list (the CSR neighbor slot): begin_round is one linear
-// merge of the previous round's state with the new neighbor span, reusing
-// scratch buffers — no per-round hashing or node allocation.
+// sorted neighbor list (the CSR neighbor slot).  begin_round compares the
+// new neighbor span with the stored list: an unchanged neighborhood (most
+// nodes in most rounds of a low-churn schedule) keeps every record as it
+// stands; otherwise one linear merge of the previous round's state with the
+// new span rebuilds the arrays in reused scratch buffers — no per-round
+// hashing or node allocation either way.  The stored list is also the
+// node's view of its current neighbors (neighbors()).
 #pragma once
 
 #include <cstdint>
@@ -27,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
 
@@ -62,8 +67,15 @@ class EdgeClassifier {
 
   /// Ingests round r's sorted neighbor list: newly appeared neighbors get
   /// a fresh insertion record (a re-inserted edge counts as new again, per
-  /// the "last insertion" wording); vanished neighbors are dropped.
+  /// the "last insertion" wording); vanished neighbors are dropped.  Changes
+  /// are judged against the previous call, whatever its round: a node that
+  /// skips rounds (crashed) sees no edge vanish and come back meanwhile.
   void begin_round(Round r, std::span<const NodeId> neighbors);
+
+  /// The sorted neighbor list of the last begin_round (slot order).
+  [[nodiscard]] std::span<const NodeId> neighbors() const noexcept {
+    return neighbors_;
+  }
 
   /// Classification of the live edge to neighbor w in the current round.
   /// `token_arriving_now` means the node knows a requested token arrives
@@ -74,7 +86,32 @@ class EdgeClassifier {
   /// classify by neighbor slot (position of w in this round's sorted
   /// neighbor list) — the O(1) form for callers already iterating the span.
   [[nodiscard]] EdgeClass classify_slot(std::size_t slot,
-                                        bool token_arriving_now = false) const;
+                                        bool token_arriving_now = false) const {
+    DG_DCHECK(slot < neighbors_.size());
+    // "New in round r": inserted at the beginning of round r or r-1.
+    if (inserted_[slot] + 1 >= round_) return EdgeClass::kNew;
+    if (contributed_[slot] != 0 || token_arriving_now) return EdgeClass::kContributive;
+    return EdgeClass::kIdle;
+  }
+
+  /// Partitions this round's neighbors w with eligible(w) into `by_class`
+  /// (indexed by EdgeClass; cleared first; each list in neighbor order).
+  /// A neighbor with an entry in `surviving` (last round's requests whose
+  /// edge survived, sorted by neighbor) has a token arriving now; one
+  /// cursor walks that list alongside the slots.
+  template <typename Eligible>
+  void partition(const RequestList& surviving, Eligible&& eligible,
+                 std::vector<NodeId> (&by_class)[3]) const {
+    for (auto& list : by_class) list.clear();
+    auto arriving = surviving.begin();
+    for (std::size_t slot = 0; slot < neighbors_.size(); ++slot) {
+      const NodeId w = neighbors_[slot];
+      while (arriving != surviving.end() && arriving->first < w) ++arriving;
+      if (!eligible(w)) continue;
+      const bool now = arriving != surviving.end() && arriving->first == w;
+      by_class[static_cast<std::size_t>(classify_slot(slot, now))].push_back(w);
+    }
+  }
 
   /// Records that a new token was learned over the edge to w (call on
   /// first-time token receipt).

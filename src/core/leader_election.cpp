@@ -36,6 +36,7 @@ LeaderElectionResult run_leader_election_broadcast(std::size_t n,
   }
 
   DynamicGraphTracker tracker(n);
+  ConnectivityChecker connectivity;
   for (Round r = 1; r <= max_rounds; ++r) {
     // A node broadcasts its maximum for the n rounds after each adoption.
     std::vector<NodeId> speak(n, kNoNode);
@@ -49,9 +50,9 @@ LeaderElectionResult run_leader_election_broadcast(std::size_t n,
     // ignore the view entirely.
     BroadcastRoundView view;
     view.round = r;
-    Graph g = adversary.broadcast_round(view);
+    const Graph& g = adversary.broadcast_round(view);
     DG_CHECK(g.num_nodes() == n);
-    DG_CHECK(is_connected(g));
+    DG_CHECK(connectivity.is_connected(g));
     const GraphDiff diff = tracker.advance(g, r);
     result.tc += diff.inserted.size();
 
@@ -97,18 +98,17 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
   }
 
   DynamicGraphTracker tracker(n);
-  Graph prev(n);
+  ConnectivityChecker connectivity;
   std::vector<SentRecord> no_traffic;
   std::vector<KnowledgeSet> no_knowledge;
   for (Round r = 1; r <= max_rounds; ++r) {
     UnicastRoundView view;
     view.round = r;
-    view.prev_graph = &prev;
     view.prev_messages = &no_traffic;
     view.knowledge = &no_knowledge;
-    Graph g = adversary.unicast_round(view);
+    const Graph& g = adversary.unicast_round(view);
     DG_CHECK(g.num_nodes() == n);
-    DG_CHECK(is_connected(g));
+    DG_CHECK(connectivity.is_connected(g));
     const GraphDiff diff = tracker.advance(g, r);
     result.tc += diff.inserted.size();
 
@@ -145,7 +145,6 @@ LeaderElectionResult run_leader_election_unicast(std::size_t n,
       }
     }
     result.rounds = r;
-    prev = std::move(g);
     if (all_agree(maxima, result.leader)) {
       // Agreement on values; a real deployment would also quiesce, which
       // takes one more forwarding round — the message count includes it

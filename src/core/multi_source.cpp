@@ -98,13 +98,8 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
       }
       return pos < pool.size() ? pool[pos++] : kNoToken;
     };
-    for (auto& list : by_class_) list.clear();
-    for (const NodeId w : neighbors) {
-      if (!ps.announcers.test(w)) continue;
-      const bool arriving = find_request(surviving_, w) != nullptr;
-      const EdgeClass c = classifier_.classify(w, arriving);
-      by_class_[static_cast<std::size_t>(c)].push_back(w);
-    }
+    classifier_.partition(
+        surviving_, [&ps](NodeId w) { return ps.announcers.test(w); }, by_class_);
     const EdgeClass priority[3] = {EdgeClass::kNew, EdgeClass::kIdle,
                                    EdgeClass::kContributive};
     for (const EdgeClass c : priority) {

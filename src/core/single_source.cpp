@@ -20,7 +20,6 @@ SingleSourceNode::SingleSourceNode(NodeId self, const SingleSourceConfig& cfg)
 
 void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
   classifier_.begin_round(r, neighbors);
-  current_neighbors_.assign(neighbors.begin(), neighbors.end());
 
   if (complete()) {
     // Answer last round's requests first (so the per-neighbor if/else of
@@ -60,13 +59,8 @@ void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& 
   }
 
   // Partition eligible edges (to known-complete neighbors) by class.
-  for (auto& list : by_class_) list.clear();
-  for (const NodeId w : neighbors) {
-    if (!known_complete_.test(w)) continue;
-    const bool arriving = find_request(surviving_, w) != nullptr;
-    const EdgeClass c = classifier_.classify(w, arriving);
-    by_class_[static_cast<std::size_t>(c)].push_back(w);
-  }
+  classifier_.partition(
+      surviving_, [this](NodeId w) { return known_complete_.test(w); }, by_class_);
 
   // Assign one distinct request per edge in the configured class priority
   // (Algorithm 1: new, then idle, then contributive).  The missing-token
@@ -145,7 +139,7 @@ void SingleSourceNode::on_receive(Round /*r*/, NodeId from, const Message& m) {
 
 bool SingleSourceNode::is_bridge_node() const {
   if (complete()) return false;
-  for (const NodeId w : current_neighbors_) {
+  for (const NodeId w : classifier_.neighbors()) {
     if (known_complete_.test(w)) return true;
   }
   return false;

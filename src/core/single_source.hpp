@@ -87,8 +87,6 @@ class SingleSourceNode final : public UnicastAlgorithm {
   RequestList sent_requests_;
   /// Requests received last round, answered this round if the edge survives.
   std::vector<std::pair<NodeId, TokenId>> pending_answers_;
-  /// Live neighbors of the current round (sorted), for is_bridge_node().
-  std::vector<NodeId> current_neighbors_;
   std::uint64_t requests_by_class_[3] = {0, 0, 0};
   // Per-round scratch, reused across rounds (send() leaves in_flight_ empty).
   RequestList surviving_;            ///< last round's requests whose edge survived

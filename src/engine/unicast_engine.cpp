@@ -23,8 +23,7 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       start_offset_(opts.start_round - 1),
       round_(opts.start_round - 1),
       max_payloads_per_edge_(opts.max_payloads_per_edge),
-      min_parallel_nodes_(opts.min_parallel_nodes),
-      prev_graph_(0) {
+      min_parallel_nodes_(opts.min_parallel_nodes) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
@@ -38,7 +37,6 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
     owned_tracker_ = std::make_unique<DynamicGraphTracker>(nodes_.size());
     tracker_ = owned_tracker_.get();
   }
-  prev_graph_ = Graph(nodes_.size());  // G_{start-1} as seen by the adversary view
 }
 
 void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
@@ -176,7 +174,6 @@ Round UnicastEngine::step() {
   // the engine snapshots it into the reusable CSR view.
   UnicastRoundView view;
   view.round = r;
-  view.prev_graph = &prev_graph_;
   view.prev_messages = &prev_messages_;
   view.knowledge = &knowledge_;
   const Graph& g = adversary_.unicast_round(view);
@@ -282,10 +279,8 @@ Round UnicastEngine::step() {
   control_.round_graph(g.num_edges());
   control_.round_done(r);
   if (hook_) hook_(r, g, metrics_);
-  // Swap (not move) so both buffers recycle; copy-assignment into the
-  // retained previous graph reuses its adjacency capacity.
+  // Swap (not move) so both buffers recycle.
   std::swap(prev_messages_, traffic_);
-  prev_graph_ = g;
   return r;
 }
 

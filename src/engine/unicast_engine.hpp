@@ -199,7 +199,6 @@ class UnicastEngine {
   std::uint32_t max_payloads_per_edge_;
   std::size_t min_parallel_nodes_;
   RoundHook hook_;
-  Graph prev_graph_;
   std::vector<SentRecord> prev_messages_;
   // Per-round scratch, reused across rounds (see step()).
   RoundGraphView view_;                   ///< CSR snapshot of G_r

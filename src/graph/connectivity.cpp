@@ -3,81 +3,103 @@
 #include <algorithm>
 #include <limits>
 
-#include "common/disjoint_set.hpp"
-
 namespace dyngossip {
 
-ComponentInfo connected_components(const Graph& g) {
+namespace {
+
+constexpr std::size_t kUnlabelled = std::numeric_limits<std::size_t>::max();
+
+}  // namespace
+
+template <typename G>
+const ComponentInfo& ConnectivityChecker::label(const G& g) {
   const std::size_t n = g.num_nodes();
-  DisjointSet dsu(n);
-  g.for_each_edge([&dsu](EdgeKey key) {
-    const auto [u, v] = edge_endpoints(key);
-    dsu.unite(u, v);
-  });
-  ComponentInfo info;
-  info.labels.assign(n, 0);
-  std::vector<std::size_t> root_to_label(n, std::numeric_limits<std::size_t>::max());
-  for (NodeId v = 0; v < n; ++v) {
-    const std::size_t root = dsu.find(v);
-    if (root_to_label[root] == std::numeric_limits<std::size_t>::max()) {
-      root_to_label[root] = info.count++;
-      info.representatives.push_back(v);
-    }
-    info.labels[v] = root_to_label[root];
-  }
-  return info;
-}
-
-bool is_connected(const Graph& g) {
-  if (g.num_nodes() <= 1) return true;
-  return connected_components(g).count == 1;
-}
-
-bool ConnectivityChecker::is_connected(const RoundGraphView& view) {
-  const std::size_t n = view.num_nodes();
-  if (n <= 1) return true;
-  visited_.assign(n, 0);
-  frontier_.clear();
-  frontier_.reserve(n);
-  visited_[0] = 1;
-  frontier_.push_back(0);
-  std::size_t reached = 1;
-  // The frontier vector doubles as the BFS queue: elements are appended and
-  // consumed by index, never erased, so the buffer is reusable as-is.
-  for (std::size_t head = 0; head < frontier_.size(); ++head) {
-    for (const NodeId w : view.neighbors(frontier_[head])) {
-      if (visited_[w] == 0) {
-        visited_[w] = 1;
-        ++reached;
-        frontier_.push_back(w);
+  info_.labels.assign(n, kUnlabelled);
+  info_.representatives.clear();
+  info_.count = 0;
+  member_begin_.clear();
+  queue_.clear();
+  queue_.reserve(n);
+  for (NodeId root = 0; root < n; ++root) {
+    if (info_.labels[root] != kUnlabelled) continue;
+    const std::size_t c = info_.count++;
+    info_.representatives.push_back(root);
+    member_begin_.push_back(queue_.size());
+    info_.labels[root] = c;
+    queue_.push_back(root);
+    // queue_ doubles as the BFS queue: elements are appended and consumed
+    // by index, never erased, so each component stays one contiguous slice.
+    for (std::size_t head = member_begin_.back(); head < queue_.size(); ++head) {
+      for (const NodeId w : g.neighbors(queue_[head])) {
+        if (info_.labels[w] == kUnlabelled) {
+          info_.labels[w] = c;
+          queue_.push_back(w);
+        }
       }
     }
   }
-  return reached == n;
+  member_begin_.push_back(n);
+  if (info_.count > 1) {
+    for (std::size_t c = 0; c < info_.count; ++c) {
+      std::sort(queue_.begin() + static_cast<std::ptrdiff_t>(member_begin_[c]),
+                queue_.begin() + static_cast<std::ptrdiff_t>(member_begin_[c + 1]));
+    }
+  }
+  return info_;
+}
+
+bool ConnectivityChecker::is_connected(const RoundGraphView& view) {
+  return label(view).count <= 1;
+}
+
+bool ConnectivityChecker::is_connected(const Graph& g) {
+  return label(g).count <= 1;
+}
+
+const ComponentInfo& ConnectivityChecker::components(const Graph& g) {
+  return label(g);
+}
+
+std::span<const NodeId> ConnectivityChecker::members(std::size_t label) const {
+  DG_DCHECK(info_.count > 1 && label < info_.count);
+  return std::span<const NodeId>(queue_).subspan(
+      member_begin_[label], member_begin_[label + 1] - member_begin_[label]);
+}
+
+std::span<const EdgeKey> ConnectivityChecker::connect(Graph& g, Rng& rng) {
+  added_.clear();
+  const std::size_t count = components(g).count;
+  if (count <= 1) return added_;
+
+  // Join consecutive components in a random order through uniformly random
+  // member pairs.
+  order_.resize(count);
+  for (std::size_t i = 0; i < count; ++i) order_[i] = i;
+  rng.shuffle(order_);
+  for (std::size_t i = 1; i < count; ++i) {
+    const NodeId a = rng.pick(members(order_[i - 1]));
+    const NodeId b = rng.pick(members(order_[i]));
+    const bool fresh = g.add_edge(a, b);
+    DG_CHECK(fresh);
+    added_.push_back(edge_key(a, b));
+  }
+  return added_;
+}
+
+ComponentInfo connected_components(const Graph& g) {
+  ConnectivityChecker checker;
+  return checker.components(g);
+}
+
+bool is_connected(const Graph& g) {
+  ConnectivityChecker checker;
+  return checker.is_connected(g);
 }
 
 std::vector<EdgeKey> connect_components(Graph& g, Rng& rng) {
-  std::vector<EdgeKey> added;
-  const ComponentInfo info = connected_components(g);
-  if (info.count <= 1) return added;
-
-  // Collect the members of each component, then join consecutive components
-  // in a random order through uniformly random member pairs.
-  std::vector<std::vector<NodeId>> members(info.count);
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    members[info.labels[v]].push_back(v);
-  }
-  std::vector<std::size_t> order(info.count);
-  for (std::size_t i = 0; i < info.count; ++i) order[i] = i;
-  rng.shuffle(order);
-  for (std::size_t i = 1; i < info.count; ++i) {
-    const NodeId a = rng.pick(members[order[i - 1]]);
-    const NodeId b = rng.pick(members[order[i]]);
-    const bool fresh = g.add_edge(a, b);
-    DG_CHECK(fresh);
-    added.push_back(edge_key(a, b));
-  }
-  return added;
+  ConnectivityChecker checker;
+  const std::span<const EdgeKey> added = checker.connect(g, rng);
+  return {added.begin(), added.end()};
 }
 
 BfsTree bfs_tree(const Graph& g, NodeId root) {

@@ -27,7 +27,7 @@ const Graph& SmoothedTraceAdversary::next_graph(Round r) {
   if (!exhausted_) {
     if (base_->next_round(base_graph_)) {
       current_ = base_graph_;
-      smooth_round(current_, cfg_.flips_per_round, rng_);
+      smooth_round(current_, cfg_.flips_per_round, rng_, connectivity_);
     } else {
       if (r == 1) {
         // User-supplied data, so a recoverable error, not an invariant.

@@ -47,6 +47,7 @@ class SmoothedTraceAdversary final : public ObliviousAdversary {
   Rng rng_;
   Graph base_graph_;
   Graph current_;
+  ConnectivityChecker connectivity_;  ///< reused buffers of the repair
   Round last_round_ = 0;
   bool exhausted_ = false;
 };

@@ -1,7 +1,6 @@
 #include "trace/trace_gen.hpp"
 
 #include "common/check.hpp"
-#include "graph/connectivity.hpp"
 
 namespace dyngossip {
 
@@ -20,7 +19,8 @@ void generate_sigma_churn_trace(const SigmaStableChurnConfig& cfg, Round rounds,
   record_schedule(adversary, rounds, out);
 }
 
-void smooth_round(Graph& g, std::size_t flips, Rng& rng) {
+void smooth_round(Graph& g, std::size_t flips, Rng& rng,
+                  ConnectivityChecker& connectivity) {
   const std::size_t n = g.num_nodes();
   if (n < 2) return;
   for (std::size_t i = 0; i < flips; ++i) {
@@ -29,7 +29,7 @@ void smooth_round(Graph& g, std::size_t flips, Rng& rng) {
     if (v >= u) ++v;
     if (!g.add_edge(u, v)) g.remove_edge(u, v);
   }
-  connect_components(g, rng);
+  connectivity.connect(g, rng);
 }
 
 void smooth_trace(TraceSource& base, const SmoothedTraceConfig& cfg,
@@ -39,9 +39,10 @@ void smooth_trace(TraceSource& base, const SmoothedTraceConfig& cfg,
   Rng rng(cfg.seed);
   Graph base_graph(n);
   Graph perturbed(n);
+  ConnectivityChecker connectivity;
   while (base.next_round(base_graph)) {
     perturbed = base_graph;
-    smooth_round(perturbed, cfg.flips_per_round, rng);
+    smooth_round(perturbed, cfg.flips_per_round, rng, connectivity);
     out.append_round(perturbed);
   }
 }

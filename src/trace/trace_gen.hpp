@@ -17,6 +17,7 @@
 
 #include "adversary/adversary.hpp"
 #include "adversary/sigma_stable.hpp"
+#include "graph/connectivity.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
 
@@ -41,9 +42,11 @@ struct SmoothedTraceConfig {
 
 /// One smoothing step: toggles `flips` uniformly random node pairs of g
 /// (absent edges inserted, present edges deleted), then patches
-/// connectivity with random edges.  Shared by smooth_trace and the live
-/// SmoothedTraceAdversary so both realize identical schedules per seed.
-void smooth_round(Graph& g, std::size_t flips, Rng& rng);
+/// connectivity with random edges through the caller's reused `connectivity`
+/// buffers.  Shared by smooth_trace and the live SmoothedTraceAdversary so
+/// both realize identical schedules per seed.
+void smooth_round(Graph& g, std::size_t flips, Rng& rng,
+                  ConnectivityChecker& connectivity);
 
 /// Writes the k-smoothed perturbation of `base` to `out`: per round,
 /// `flips_per_round` uniformly random node pairs are toggled (absent edges

@@ -68,7 +68,6 @@ TEST(Churn, ObliviousIgnoresViews) {
   std::vector<KnowledgeSet> knowledge_a(20, KnowledgeSet(4, true));
   std::vector<KnowledgeSet> knowledge_b(20, KnowledgeSet(4));
   std::vector<SentRecord> traffic_b{{0, 1, Message::request(2)}};
-  Graph prev(20);
   for (Round r = 1; r <= 30; ++r) {
     UnicastRoundView va;
     va.round = r;
@@ -77,7 +76,6 @@ TEST(Churn, ObliviousIgnoresViews) {
     vb.round = r;
     vb.knowledge = &knowledge_b;
     vb.prev_messages = &traffic_b;
-    vb.prev_graph = &prev;
     EXPECT_EQ(a.unicast_round(va).sorted_edges(), b.unicast_round(vb).sorted_edges());
   }
 }

@@ -21,11 +21,9 @@ TEST(RequestCutter, AlwaysConnectedUnderFullCutting) {
   // Feed synthetic request traffic referencing live edges.
   UnicastRoundView view;
   std::vector<SentRecord> traffic;
-  Graph prev(16);
   for (Round r = 1; r <= 100; ++r) {
     view.round = r;
     view.prev_messages = &traffic;
-    view.prev_graph = &prev;
     const Graph g = adversary.unicast_round(view);
     EXPECT_TRUE(is_connected(g)) << "round " << r;
     traffic.clear();
@@ -34,7 +32,6 @@ TEST(RequestCutter, AlwaysConnectedUnderFullCutting) {
       traffic.push_back({u, v, Message::request(0)});
       if (traffic.size() >= 10) break;
     }
-    prev = g;
   }
   EXPECT_GT(adversary.cuts(), 500u);  // it really cuts
 }

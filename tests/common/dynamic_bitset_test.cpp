@@ -215,7 +215,24 @@ TEST_P(BitsetCursorEdgeTest, FullAndEmptySets) {
   EXPECT_TRUE(collect_unset(full).empty());
 }
 
-// The ISSUE-named universe sizes: 0 and the word-boundary straddles.
+TEST_P(BitsetCursorEdgeTest, NthSetMatchesPositionsOracle) {
+  const std::size_t universe = GetParam();
+  Rng rng(7 + universe);
+  // Sparse, half-full and dense fills, plus the empty and full sets.
+  for (const double p : {0.0, 0.02, 0.5, 0.97, 1.0}) {
+    DynamicBitset b(universe);
+    for (std::size_t i = 0; i < universe; ++i) {
+      if (rng.bernoulli(p)) b.set(i);
+    }
+    const std::vector<std::size_t> want = b.set_positions();
+    for (std::size_t rank = 0; rank < want.size(); ++rank) {
+      EXPECT_EQ(b.nth_set(rank), want[rank]) << "p " << p << " rank " << rank;
+    }
+    EXPECT_EQ(b.nth_set(want.size()), b.size());  // past the last member
+  }
+}
+
+// Universe sizes: 0 and the word-boundary straddles.
 INSTANTIATE_TEST_SUITE_P(Sizes, BitsetCursorEdgeTest,
                          ::testing::Values(0, 1, 63, 64, 65, 128, 129, 1000));
 

@@ -70,6 +70,39 @@ TEST(KnowledgeSet, DemotionHysteresisRoundTrip) {
   EXPECT_FALSE(s.test(demote + 5));
 }
 
+// Every rank of `s` against the set_positions() oracle, plus past-the-end.
+void expect_nth_set_matches_positions(const KnowledgeSet& s, const char* what) {
+  const std::vector<std::size_t> want = s.set_positions();
+  for (std::size_t rank = 0; rank < want.size(); ++rank) {
+    EXPECT_EQ(s.nth_set(rank), want[rank]) << what << " rank " << rank;
+  }
+  EXPECT_EQ(s.nth_set(want.size()), s.size()) << what;
+}
+
+TEST(KnowledgeSet, NthSetMatchesPositionsInEveryRepresentation) {
+  const std::size_t universe = 4096;
+  const std::size_t promote = KnowledgeSet::promote_threshold(universe);
+  const std::size_t demote = KnowledgeSet::demote_threshold(universe);
+  Rng rng(11);
+  KnowledgeSet s(universe);
+  expect_nth_set_matches_positions(s, "empty");
+
+  while (s.count() + 1 < promote) s.set(rng.next_below(universe));
+  ASSERT_FALSE(s.is_dense());
+  expect_nth_set_matches_positions(s, "sparse");
+
+  while (s.count() < universe / 2) s.set(rng.next_below(universe));
+  ASSERT_TRUE(s.is_dense());
+  expect_nth_set_matches_positions(s, "dense");
+
+  while (s.count() >= demote) s.reset(s.nth_set(rng.next_below(s.count())));
+  ASSERT_FALSE(s.is_dense());
+  expect_nth_set_matches_positions(s, "demoted");
+
+  s.set_all();
+  expect_nth_set_matches_positions(s, "full");
+}
+
 TEST(KnowledgeSet, EqualityIsRepresentationIndependent) {
   const std::size_t universe = 1024;
   const std::size_t promote = KnowledgeSet::promote_threshold(universe);
