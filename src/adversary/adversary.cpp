@@ -1,5 +1,7 @@
 #include "adversary/adversary.hpp"
 
+#include <cstdio>
+
 #include "common/check.hpp"
 
 namespace dyngossip {
@@ -16,6 +18,12 @@ const Graph& Adversary::broadcast_round(const BroadcastRoundView& view) {
 
 const Graph& Adversary::unicast_round(const UnicastRoundView& view) {
   return next_graph(view.round);
+}
+
+void Adversary::on_disconnected(Round r, std::size_t components) {
+  std::fprintf(stderr, "round %u graph has %zu connected components\n",
+               static_cast<unsigned>(r), components);
+  DG_CHECK(false && "every round graph must be connected");
 }
 
 const Graph& Adversary::next_graph(Round /*r*/) {

@@ -14,7 +14,8 @@
 // adversaries ignore the views (enforced by construction: ObliviousAdversary
 // routes both calls to a view-free generator).  Every adversary must return
 // a connected graph on the engine's node set (the model's standing
-// connectivity assumption); the engines verify this.
+// connectivity assumption); the engines verify this every round and report
+// a violation through on_disconnected.
 #pragma once
 
 #include <memory>
@@ -72,6 +73,13 @@ class Adversary {
   /// Round graph for the unicast engine.  Default: defers to the view-free
   /// generator (oblivious behaviour).
   [[nodiscard]] virtual const Graph& unicast_round(const UnicastRoundView& view);
+
+  /// Called by an engine when the graph this adversary returned for round
+  /// r has `components` > 1 connected components.  Must not return.  The
+  /// default aborts: a generator that breaks connectivity is a bug.
+  /// Adversaries replaying outside data throw an actionable error instead,
+  /// and decorators forward to the adversary they wrap.
+  virtual void on_disconnected(Round r, std::size_t components);
 
  protected:
   /// View-free generator used by oblivious adversaries; adaptive adversaries

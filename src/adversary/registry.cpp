@@ -4,6 +4,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <utility>
 
 #include "adversary/churn.hpp"
@@ -13,6 +14,7 @@
 #include "adversary/scripted.hpp"
 #include "adversary/sigma_stable.hpp"
 #include "adversary/static_adversary.hpp"
+#include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "trace/smoothed_adversary.hpp"
 #include "trace/trace_adversary.hpp"
@@ -200,7 +202,17 @@ std::unique_ptr<Adversary> build_scripted(const AdversarySpec& spec,
   check_file_n("scripted", source->header().n, ctx.n);
   std::vector<Graph> script;
   Graph g(source->header().n);
-  while (source->next_round(g)) script.push_back(g);
+  ConnectivityChecker connectivity;
+  while (source->next_round(g)) {
+    // ScriptedAdversary aborts on a disconnected graph; from a file that is
+    // bad input, so name the round instead.
+    if (!connectivity.is_connected(g)) {
+      throw TraceError("scripted: trace '" + path + "' round " +
+                       std::to_string(script.size() + 1) +
+                       " is disconnected; every round graph must be connected");
+    }
+    script.push_back(g);
+  }
   if (script.empty()) fail("scripted: trace '" + path + "' holds no rounds");
   return std::make_unique<ScriptedAdversary>(std::move(script));
 }

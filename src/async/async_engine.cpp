@@ -65,7 +65,9 @@ void AsyncEngine::advance_rounds(Round target) {
     control_.begin_round(r);
     const Graph& g = clocked_.next_round(knowledge_);
     view_.rebuild(g);
-    DG_CHECK(connectivity_.is_connected(view_));
+    const std::size_t components = connectivity_.components(view_).count;
+    if (components > 1) clocked_.on_disconnected(r, components);
+    DG_CHECK(components <= 1);
     const GraphDiff& diff = tracker_.advance(view_, r);
     metrics_.tc += diff.inserted.size();
     metrics_.deletions += diff.removed.size();

@@ -54,6 +54,11 @@ class ClockedAdversary {
   /// next call.
   const Graph& next_round(const std::vector<KnowledgeSet>& knowledge);
 
+  /// Forwards an engine's connectivity failure to the inner adversary.
+  void on_disconnected(Round r, std::size_t components) {
+    inner_.on_disconnected(r, components);
+  }
+
   /// Rounds consumed from the schedule so far.
   [[nodiscard]] Round round() const noexcept { return round_; }
 

@@ -43,14 +43,13 @@ const char* edge_class_name(EdgeClass c) noexcept {
   return "?";
 }
 
-void EdgeClassifier::begin_round(Round r, std::span<const NodeId> neighbors) {
+template <typename InsertedAt>
+void EdgeClassifier::merge(Round r, std::span<const NodeId> neighbors,
+                           InsertedAt&& inserted_at) {
   DG_CHECK(r > round_);
-  round_ = r;
   DG_DCHECK(std::is_sorted(neighbors.begin(), neighbors.end()));
-  // Unchanged neighborhood: every record carries over as it stands, which
-  // is what the merge below would rebuild.
-  if (std::ranges::equal(neighbors, neighbors_)) return;
-
+  const Round last = round_;
+  round_ = r;
   std::swap(neighbors_, prev_neighbors_);
   std::swap(inserted_, prev_inserted_);
   std::swap(contributed_, prev_contributed_);
@@ -58,22 +57,48 @@ void EdgeClassifier::begin_round(Round r, std::span<const NodeId> neighbors) {
   inserted_.resize(neighbors.size());
   contributed_.resize(neighbors.size());
 
-  // Linear merge of two sorted lists: surviving edges carry their record,
-  // vanished edges are dropped (a later re-insertion starts fresh,
-  // implementing the "last insertion" semantics), new edges start at r.
+  // Linear merge of two sorted lists: edges present throughout carry their
+  // record, vanished edges are dropped (a later re-insertion starts fresh,
+  // implementing the "last insertion" semantics), other edges start fresh.
   std::size_t p = 0;
   for (std::size_t i = 0; i < neighbors_.size(); ++i) {
     const NodeId w = neighbors_[i];
     while (p < prev_neighbors_.size() && prev_neighbors_[p] < w) ++p;
-    if (p < prev_neighbors_.size() && prev_neighbors_[p] == w) {
+    const bool stored = p < prev_neighbors_.size() && prev_neighbors_[p] == w;
+    const Round ins = inserted_at(w, stored);
+    if (stored && ins <= last) {
       inserted_[i] = prev_inserted_[p];
       contributed_[i] = prev_contributed_[p];
-      ++p;
     } else {
-      inserted_[i] = r;
+      inserted_[i] = ins;
       contributed_[i] = 0;
     }
+    if (stored) ++p;
   }
+}
+
+void EdgeClassifier::begin_round(Round r, std::span<const NodeId> neighbors) {
+  // Unchanged neighborhood: every record carries over as it stands, which
+  // is what the merge would rebuild.
+  if (std::ranges::equal(neighbors, neighbors_)) {
+    DG_CHECK(r > round_);
+    round_ = r;
+    return;
+  }
+  // Judged against the previous call alone: a stored edge counts as
+  // present since then, any other as inserted now.
+  const Round last = round_;
+  merge(r, neighbors, [last, r](NodeId, bool stored) { return stored ? last : r; });
+}
+
+void EdgeClassifier::resync(Round r, std::span<const NodeId> neighbors, NodeId self,
+                            const DynamicGraphTracker& tracker) {
+  DG_CHECK(tracker.rounds() == r);
+  merge(r, neighbors, [&tracker, self](NodeId w, bool) {
+    const Round ins = tracker.insertion_round(edge_key(self, w));
+    DG_DCHECK(ins != kNoRound);
+    return ins;
+  });
 }
 
 std::size_t EdgeClassifier::slot_of(NodeId w) const {

@@ -23,7 +23,9 @@
 // stands; otherwise one linear merge of the previous round's state with the
 // new span rebuilds the arrays in reused scratch buffers — no per-round
 // hashing or node allocation either way.  The stored list is also the
-// node's view of its current neighbors (neighbors()).
+// node's view of its current neighbors (neighbors()).  A node the engine
+// parked through edge changes is brought back with resync, the same merge
+// fed with the tracker's exact insertion rounds.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +36,7 @@
 #include "common/check.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
+#include "graph/dynamic_tracker.hpp"
 
 namespace dyngossip {
 
@@ -71,6 +74,15 @@ class EdgeClassifier {
   /// are judged against the previous call, whatever its round: a node that
   /// skips rounds (crashed) sees no edge vanish and come back meanwhile.
   void begin_round(Round r, std::span<const NodeId> neighbors);
+
+  /// begin_round for a node that skipped rounds while its edges changed:
+  /// the records come out exactly as if begin_round had run in every
+  /// skipped round.  `self`'s edges' last insertion rounds are read from
+  /// `tracker` (which has ingested round r): a stored record is kept only
+  /// if its edge was present at the last call and not re-inserted since;
+  /// every other neighbor starts a fresh record at its insertion round.
+  void resync(Round r, std::span<const NodeId> neighbors, NodeId self,
+              const DynamicGraphTracker& tracker);
 
   /// The sorted neighbor list of the last begin_round (slot order).
   [[nodiscard]] std::span<const NodeId> neighbors() const noexcept {
@@ -126,10 +138,18 @@ class EdgeClassifier {
   /// Last insertion round of the live edge to w (kNoRound if absent).
   [[nodiscard]] Round insertion_round(NodeId w) const;
 
-  /// Current round (the argument of the last begin_round).
+  /// Current round (the argument of the last begin_round or resync).
   [[nodiscard]] Round round() const noexcept { return round_; }
 
  private:
+  /// The merge shared by begin_round and resync: rebuilds the records for
+  /// round r's `neighbors` from the previous call's.  inserted_at(w, stored)
+  /// is the last insertion round of the edge to w (`stored`: w has a record
+  /// from the previous call); the record is kept iff that round is no later
+  /// than the previous call's, else a fresh one starts there.
+  template <typename InsertedAt>
+  void merge(Round r, std::span<const NodeId> neighbors, InsertedAt&& inserted_at);
+
   // Parallel arrays over the current round's sorted neighbors.
   std::vector<NodeId> neighbors_;
   std::vector<Round> inserted_;

@@ -18,9 +18,12 @@ SingleSourceNode::SingleSourceNode(NodeId self, const SingleSourceConfig& cfg)
   if (self == cfg.source) tokens_.set_all();
 }
 
-void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
-  classifier_.begin_round(r, neighbors);
+void SingleSourceNode::resume(Round r, std::span<const NodeId> neighbors,
+                              const DynamicGraphTracker& tracker) {
+  if (!complete()) classifier_.resync(r, neighbors, self_, tracker);
+}
 
+void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
   if (complete()) {
     // Answer last round's requests first (so the per-neighbor if/else of
     // Algorithm 1 holds: a requester necessarily already knows our
@@ -43,6 +46,9 @@ void SingleSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& 
 
   // Incomplete nodes never receive requests (nobody believes them complete).
   DG_CHECK(pending_answers_.empty());
+  // Only incomplete nodes classify edges; a resumed node's classifier is
+  // already at round r.
+  if (classifier_.round() != r) classifier_.begin_round(r, neighbors);
 
   // Tokens already in flight: requested last round over an edge that
   // survived into this round.  The paper notes v can know these arrive by

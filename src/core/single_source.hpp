@@ -53,14 +53,32 @@ class SingleSourceNode final : public UnicastAlgorithm {
   void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
 
+  /// Idle until woken: a complete node with no request to answer (every
+  /// current neighbor is informed), or an incomplete node with no request
+  /// in flight (no current neighbor is known complete).
+  [[nodiscard]] bool parked() const override {
+    return complete() ? pending_answers_.empty() : sent_requests_.empty();
+  }
+
+  /// A new edge matters only to an uninformed neighbor (complete node) or
+  /// to a known-complete one (incomplete node).
+  [[nodiscard]] bool wakes_on(NodeId w) const override {
+    return complete() ? !informed_.test(w) : known_complete_.test(w);
+  }
+
+  /// Resynchronises the edge classifier after skipped rounds (complete
+  /// nodes never classify again and skip it).
+  void resume(Round r, std::span<const NodeId> neighbors,
+              const DynamicGraphTracker& tracker) override;
+
   /// Definition 3.1: complete iff all k tokens are held.
   [[nodiscard]] bool complete() const noexcept { return tokens_.all(); }
 
   /// Tokens currently held.
   [[nodiscard]] const KnowledgeSet& tokens() const noexcept { return tokens_; }
 
-  /// Definition 3.2 (evaluated for the current round): incomplete with a
-  /// known-complete live neighbor.
+  /// Definition 3.2 (evaluated for the round of the node's last send):
+  /// incomplete with a known-complete live neighbor.
   [[nodiscard]] bool is_bridge_node() const;
 
   /// Instrumentation: requests sent so far, by edge class at send time.

@@ -93,7 +93,9 @@ Round BroadcastEngine::step() {
   const Graph& g = adversary_.broadcast_round(view);
   DG_CHECK(g.num_nodes() == n);
   view_.rebuild(g);
-  DG_CHECK(connectivity_.is_connected(view_));
+  const std::size_t components = connectivity_.components(view_).count;
+  if (components > 1) adversary_.on_disconnected(r, components);
+  DG_CHECK(components <= 1);
   const GraphDiff& diff = tracker_.advance(view_, r);
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();

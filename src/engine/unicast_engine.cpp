@@ -23,7 +23,10 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       start_offset_(opts.start_round - 1),
       round_(opts.start_round - 1),
       max_payloads_per_edge_(opts.max_payloads_per_edge),
-      min_parallel_nodes_(opts.min_parallel_nodes) {
+      min_parallel_nodes_(opts.min_parallel_nodes),
+      parking_(!control_.fault_active()),
+      asleep_(nodes_.size(), 0),
+      dirty_(nodes_.size(), 0) {
   DG_CHECK(!nodes_.empty());
   DG_CHECK(nodes_.size() == knowledge_.size());
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
@@ -70,6 +73,38 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
   sink.resize(w);
 }
 
+void UnicastEngine::wake_from_diff(const GraphDiff& diff) {
+  for (const EdgeKey key : diff.removed) {
+    const auto [a, b] = edge_endpoints(key);
+    dirty_[a] |= asleep_[a];
+    dirty_[b] |= asleep_[b];
+  }
+  const auto inserted_at = [this](NodeId x, NodeId y) {
+    if (asleep_[x] == 0) return;
+    dirty_[x] = 1;
+    if (nodes_[x]->wakes_on(y)) asleep_[x] = 0;
+  };
+  for (const EdgeKey key : diff.inserted) {
+    const auto [a, b] = edge_endpoints(key);
+    inserted_at(a, b);
+    inserted_at(b, a);
+  }
+}
+
+void UnicastEngine::send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
+                              MessageCounts& counts) {
+  const std::span<const NodeId> neigh = view_.neighbors(v);
+  if (dirty_[v] != 0) {
+    nodes_[v]->resume(r, neigh, *tracker_);
+    dirty_[v] = 0;
+  }
+  Outbox out(v, sink);
+  const std::size_t mark = sink.size();
+  nodes_[v]->send(r, neigh, out);
+  validate_sent(v, sink, mark, counts);
+  if (parking_) asleep_[v] = nodes_[v]->parked() ? 1 : 0;
+}
+
 void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
   const std::size_t n = nodes_.size();
   const std::size_t chunk = (n + shards - 1) / shards;
@@ -82,12 +117,8 @@ void UnicastEngine::send_phase_sharded(Round r, std::size_t shards) {
     const auto lo = static_cast<NodeId>(s * chunk);
     const auto hi = static_cast<NodeId>(std::min(n, (s + 1) * chunk));
     for (NodeId v = lo; v < hi; ++v) {
-      if (control_.down(v)) continue;  // crashed: silent
-      const std::span<const NodeId> neigh = view_.neighbors(v);
-      Outbox out(v, sh.traffic);
-      const std::size_t mark = sh.traffic.size();
-      nodes_[v]->send(r, neigh, out);
-      validate_sent(v, sh.traffic, mark, sh.counts);
+      if (control_.down(v) || asleep_[v] != 0) continue;  // crashed or parked
+      send_node(r, v, sh.traffic, sh.counts);
     }
   });
   // Deterministic reduction: shards cover [0, n) in increasing node order,
@@ -131,6 +162,7 @@ void UnicastEngine::deliver_sharded(Round r, std::size_t shards) {
     constexpr auto kDup =
         static_cast<std::uint8_t>(FaultPlan::Fate::kDuplicate);
     for (NodeId v = lo; v < hi; ++v) {
+      if (recipient_begin_[v] != recipient_begin_[v + 1]) asleep_[v] = 0;
       for (std::size_t j = recipient_begin_[v]; j < recipient_begin_[v + 1]; ++j) {
         const std::size_t idx = record_of_[j];
         const SentRecord& rec = traffic_[idx];
@@ -179,16 +211,22 @@ Round UnicastEngine::step() {
   const Graph& g = adversary_.unicast_round(view);
   DG_CHECK(g.num_nodes() == n);
   view_.rebuild(g);
-  DG_CHECK(connectivity_.is_connected(view_));
+  const std::size_t components = connectivity_.components(view_).count;
+  if (components > 1) adversary_.on_disconnected(r, components);
+  DG_CHECK(components <= 1);
   const GraphDiff& diff = tracker_->advance(view_, r);
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
+  // Parked nodes: the diff wakes them (an edge their wakes_on accepts) and
+  // marks them dirty (any edge change while asleep).
+  if (parking_) wake_from_diff(diff);
 
   const std::size_t shards = control_.plan_shards(min_parallel_nodes_);
 
-  // 2. Send step: each node sees its sorted neighbor span (served by the
-  // CSR snapshot — no per-node allocation or sort) and queues per-neighbor
-  // payloads.  Sharded: per-shard outboxes, merged in node order.
+  // 2. Send step: each awake node sees its sorted neighbor span (served by
+  // the CSR snapshot — no per-node allocation or sort) and queues
+  // per-neighbor payloads; parked nodes are skipped.  Sharded: per-shard
+  // outboxes, merged in node order.
   {
     const TimelineSpan span(control_.timeline(), "send_phase", "phase");
     arc_budget_.assign(view_.num_arcs(), 0);
@@ -197,12 +235,8 @@ Round UnicastEngine::step() {
     } else {
       traffic_.clear();
       for (NodeId v = 0; v < n; ++v) {
-        if (control_.down(v)) continue;  // crashed: silent
-        const std::span<const NodeId> neigh = view_.neighbors(v);
-        Outbox out(v, traffic_);
-        const std::size_t mark = traffic_.size();
-        nodes_[v]->send(r, neigh, out);
-        validate_sent(v, traffic_, mark, metrics_.unicast);
+        if (control_.down(v) || asleep_[v] != 0) continue;  // crashed or parked
+        send_node(r, v, traffic_, metrics_.unicast);
       }
     }
   }
@@ -255,6 +289,7 @@ Round UnicastEngine::step() {
           static_cast<std::uint8_t>(FaultPlan::Fate::kDuplicate);
       for (std::size_t i = 0; i < traffic_.size(); ++i) {
         const SentRecord& rec = traffic_[i];
+        asleep_[rec.to] = 0;
         const std::uint8_t fate = control_.fault_active() ? fate_[i] : 0;
         if (fate == kDrop) continue;
         const int copies = fate == kDup ? 2 : 1;

@@ -75,6 +75,27 @@ class UnicastAlgorithm {
 
   /// Delivery of one payload at the end of round r.
   virtual void on_receive(Round r, NodeId from, const Message& m) = 0;
+
+  // Parking contract (see UnicastEngine): a node may declare itself idle,
+  // and the engine then skips its send step until something can change
+  // that.  The defaults never park, which keeps every algorithm's
+  // behaviour as it is.
+
+  /// Asked right after send: true promises that, until woken, every later
+  /// send would send nothing and change no state the node can observe.
+  /// Any delivery wakes the node; so does an inserted edge for which
+  /// wakes_on holds.  Removed edges never wake it.
+  [[nodiscard]] virtual bool parked() const { return false; }
+
+  /// Whether, while parked, an inserted edge to w should wake the node.
+  [[nodiscard]] virtual bool wakes_on(NodeId /*w*/) const { return true; }
+
+  /// Called before send, in round r, on a woken node whose edges changed
+  /// while it slept (the rounds it skipped saw insertions or removals at
+  /// it): resynchronises any per-edge state that send would otherwise
+  /// judge against the last round it ran.  `tracker` has ingested round r.
+  virtual void resume(Round /*r*/, std::span<const NodeId> /*neighbors*/,
+                      const DynamicGraphTracker& /*tracker*/) {}
 };
 
 /// Engine options: the shared RunOptions (pool, faults, timeout,
@@ -97,6 +118,13 @@ struct UnicastEngineOptions : RunOptions {
 };
 
 /// Drives n UnicastAlgorithm instances against an adversary.
+///
+/// Active-node frontier: a node whose parked() holds after its send sleeps
+/// and is skipped by later send phases until a delivery to it, or an
+/// inserted edge to w with wakes_on(w), wakes it.  Every edge inserted or
+/// removed at a sleeping node marks it dirty, and a dirty node is resumed
+/// before its next send.  Parking is off while a fault plan is active
+/// (crashed nodes keep the skipped-rounds semantics of their own state).
 class UnicastEngine {
  public:
   /// Called after each round with (round, round graph, metrics so far).
@@ -181,6 +209,15 @@ class UnicastEngine {
   void validate_sent(NodeId v, std::vector<SentRecord>& sink, std::size_t mark,
                      MessageCounts& counts);
 
+  /// Wakes and marks dirty the sleeping endpoints of round r's diff
+  /// (serial, before the send phase).
+  void wake_from_diff(const GraphDiff& diff);
+
+  /// One node's send step: resume if dirty, send, validate, and record
+  /// whether it now sleeps.
+  void send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
+                 MessageCounts& counts);
+
   void send_phase_sharded(Round r, std::size_t shards);
   void deliver_sharded(Round r, std::size_t shards);
 
@@ -200,6 +237,13 @@ class UnicastEngine {
   std::size_t min_parallel_nodes_;
   RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
+  // Active-node frontier (all zero while a fault plan is active): a
+  // sleeping node is skipped by the send phase; a dirty one saw edge
+  // changes while asleep.  Byte arrays, so each shard writes only its own
+  // nodes' entries.
+  bool parking_;
+  std::vector<std::uint8_t> asleep_;
+  std::vector<std::uint8_t> dirty_;
   // Per-round scratch, reused across rounds (see step()).
   RoundGraphView view_;                   ///< CSR snapshot of G_r
   ConnectivityChecker connectivity_;      ///< BFS buffers for the G_r check

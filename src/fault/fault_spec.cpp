@@ -123,7 +123,7 @@ std::string FaultSpec::to_string() const {
   if (crash > 0.0) params["crash"] = render_fraction(crash);
   if (recover > 0.0) params["recover"] = render_fraction(recover);
   if (dup > 0.0) params["dup"] = render_fraction(dup);
-  if (amnesia) params["amnesia"] = "1";
+  if (amnesia) params.emplace("amnesia", "1");
   if (has_seed) params["seed"] = std::to_string(seed);
   return render_spec_text(kFamily, params);
 }

@@ -60,6 +60,10 @@ const ComponentInfo& ConnectivityChecker::components(const Graph& g) {
   return label(g);
 }
 
+const ComponentInfo& ConnectivityChecker::components(const RoundGraphView& view) {
+  return label(view);
+}
+
 std::span<const NodeId> ConnectivityChecker::members(std::size_t label) const {
   DG_DCHECK(info_.count > 1 && label < info_.count);
   return std::span<const NodeId>(queue_).subspan(

@@ -53,6 +53,10 @@ class ConnectivityChecker {
   /// connected_components(g) into reused storage, valid until the next call.
   [[nodiscard]] const ComponentInfo& components(const Graph& g);
 
+  /// The same labelling of the snapshot's graph (the engines' per-round
+  /// check: `count` > 1 means disconnected).
+  [[nodiscard]] const ComponentInfo& components(const RoundGraphView& view);
+
   /// Members of component `label` in increasing node order, as of the last
   /// call.  Grouped only when that call found more than one component (the
   /// repair paths stop at one).

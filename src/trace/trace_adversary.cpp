@@ -33,4 +33,11 @@ const Graph& TraceAdversary::next_graph(Round r) {
   return current_;
 }
 
+void TraceAdversary::on_disconnected(Round r, std::size_t components) {
+  throw TraceError("trace round " + std::to_string(r) + " is disconnected (" +
+                   std::to_string(components) +
+                   " components); every round graph of a schedule must be "
+                   "connected");
+}
+
 }  // namespace dyngossip

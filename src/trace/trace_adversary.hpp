@@ -44,6 +44,10 @@ class TraceRecorder final : public Adversary {
     return g;
   }
 
+  void on_disconnected(Round r, std::size_t components) override {
+    inner_.on_disconnected(r, components);
+  }
+
  private:
   Adversary& inner_;
   TraceWriter& writer_;
@@ -83,6 +87,10 @@ class TraceAdversary final : public ObliviousAdversary {
 
   /// True once the trace ran out and the final graph is being held.
   [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
+
+  /// A disconnected round is bad input, not a bug: throws TraceError
+  /// naming the round.
+  void on_disconnected(Round r, std::size_t components) override;
 
  protected:
   [[nodiscard]] const Graph& next_graph(Round r) override;

@@ -58,7 +58,7 @@ TEST(CliDeath, UnknownFlagRejectedByAllowList) {
 
 TEST(CliDeath, MalformedIntegerAborts) {
   const CliArgs args = parse({"prog", "--n=abc"});
-  EXPECT_EXIT(args.get_int("n", 0), ::testing::ExitedWithCode(2),
+  EXPECT_EXIT((void)args.get_int("n", 0), ::testing::ExitedWithCode(2),
               "expects an integer");
 }
 

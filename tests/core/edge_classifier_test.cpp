@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "graph/dynamic_tracker.hpp"
+#include "graph/graph.hpp"
 
 namespace dyngossip {
 namespace {
@@ -79,7 +81,7 @@ TEST(EdgeClassifier, TracksMultipleNeighborsIndependently) {
 TEST(EdgeClassifierDeath, ClassifyUnknownNeighborAborts) {
   EdgeClassifier c;
   c.begin_round(1, std::vector<NodeId>{1});
-  EXPECT_DEATH(c.classify(9), "DG_CHECK");
+  EXPECT_DEATH((void)c.classify(9), "DG_CHECK");
 }
 
 TEST(EdgeClassifierDeath, RoundsMustAdvance) {
@@ -247,6 +249,177 @@ TEST(EdgeClassifier, UnchangedNeighborhoodShortcutMatchesFullMerge) {
                   std::binary_search(neighbors.begin(), neighbors.end(), w));
       }
       // Deliveries at the end of the round mark some edges contributive.
+      for (const NodeId w : neighbors) {
+        if (rng.bernoulli(0.1)) {
+          fast.note_learning_over(w);
+          ref.note_learning_over(w);
+        }
+      }
+    }
+  }
+}
+
+// Resync: a node that sleeps through rounds and is resynchronised from the
+// tracker on waking must classify exactly like the reference that ran every
+// round.  Node 0 is the classifying node; its neighborhood is the star of
+// edges {0, w} fed to the tracker each round.
+
+/// Feeds round r's star around node 0 to the tracker.
+void advance_star(DynamicGraphTracker& tracker, Round r,
+                  const std::vector<NodeId>& neighbors) {
+  std::vector<EdgeKey> edges;
+  for (const NodeId w : neighbors) edges.push_back(edge_key(0, w));
+  tracker.advance(Graph(tracker.num_nodes(), edges), r);
+}
+
+void expect_matches(const EdgeClassifier& fast, const MergeEveryRound& ref,
+                    const std::vector<NodeId>& neighbors, const char* what) {
+  ASSERT_TRUE(std::ranges::equal(fast.neighbors(), neighbors)) << what;
+  for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+    const NodeId w = neighbors[slot];
+    for (const bool arriving : {false, true}) {
+      EXPECT_EQ(fast.classify_slot(slot, arriving), ref.classify(w, arriving))
+          << what << " neighbor " << w;
+    }
+    EXPECT_EQ(fast.insertion_round(w), ref.insertion_round(w))
+        << what << " neighbor " << w;
+  }
+}
+
+TEST(EdgeClassifierResync, EdgeThatVanishesAndReturnsWhileAsleepIsNewAgain) {
+  DynamicGraphTracker tracker(8);
+  EdgeClassifier fast;
+  MergeEveryRound ref;
+  const std::vector<NodeId> with{3, 5};
+  const std::vector<NodeId> without{5};
+  for (Round r = 1; r <= 3; ++r) {
+    advance_star(tracker, r, with);
+    fast.begin_round(r, with);
+    ref.begin_round(r, with);
+  }
+  fast.note_learning_over(3);
+  ref.note_learning_over(3);
+  // Asleep in rounds 4-6: edge {0,3} vanishes in 4 and returns in 5.
+  advance_star(tracker, 4, without);
+  ref.begin_round(4, without);
+  for (Round r = 5; r <= 7; ++r) {
+    advance_star(tracker, r, with);
+    ref.begin_round(r, with);
+  }
+  fast.resync(7, with, 0, tracker);
+  expect_matches(fast, ref, with, "after resync");
+  // The returned edge restarted at round 5: idle now, contribution gone.
+  EXPECT_EQ(fast.insertion_round(3), 5u);
+  EXPECT_EQ(fast.classify(3), EdgeClass::kIdle);
+  // A plain begin_round sees the same list as before the sleep and would
+  // wrongly keep the old contributive record.
+  EdgeClassifier stale;
+  stale.begin_round(3, with);
+  stale.note_learning_over(3);
+  stale.begin_round(7, with);
+  EXPECT_EQ(stale.classify(3), EdgeClass::kContributive);
+}
+
+TEST(EdgeClassifierResync, NeighborInsertedBeforeTheWakeKeepsItsInsertionRound) {
+  DynamicGraphTracker tracker(8);
+  EdgeClassifier fast;
+  MergeEveryRound ref;
+  const std::vector<NodeId> before{2};
+  const std::vector<NodeId> after{2, 6};
+  advance_star(tracker, 1, before);
+  fast.begin_round(1, before);
+  ref.begin_round(1, before);
+  // Asleep in rounds 2-4; {0,6} is inserted in round 3, so at the round-5
+  // wake it is no longer new (inserted < r - 1).
+  advance_star(tracker, 2, before);
+  ref.begin_round(2, before);
+  for (Round r = 3; r <= 5; ++r) {
+    advance_star(tracker, r, after);
+    ref.begin_round(r, after);
+  }
+  fast.resync(5, after, 0, tracker);
+  expect_matches(fast, ref, after, "after resync");
+  EXPECT_EQ(fast.insertion_round(6), 3u);
+  EXPECT_EQ(fast.classify(6), EdgeClass::kIdle);
+  // Inserted in round 4 instead: still new at the round-5 wake.
+  DynamicGraphTracker late(8);
+  EdgeClassifier woken;
+  advance_star(late, 1, before);
+  woken.begin_round(1, before);
+  for (Round r = 2; r <= 3; ++r) advance_star(late, r, before);
+  for (Round r = 4; r <= 5; ++r) advance_star(late, r, after);
+  woken.resync(5, after, 0, late);
+  EXPECT_EQ(woken.insertion_round(6), 4u);
+  EXPECT_EQ(woken.classify(6), EdgeClass::kNew);
+}
+
+TEST(EdgeClassifierResync, ContributiveEdgeKeptAcrossSleep) {
+  DynamicGraphTracker tracker(8);
+  EdgeClassifier fast;
+  MergeEveryRound ref;
+  const std::vector<NodeId> first{1, 4};
+  const std::vector<NodeId> later{1, 4, 7};
+  for (Round r = 1; r <= 2; ++r) {
+    advance_star(tracker, r, first);
+    fast.begin_round(r, first);
+    ref.begin_round(r, first);
+  }
+  fast.note_learning_over(4);
+  ref.note_learning_over(4);
+  // Asleep in rounds 3-5 while {0,7} appears (so the node is resynced).
+  advance_star(tracker, 3, first);
+  ref.begin_round(3, first);
+  for (Round r = 4; r <= 6; ++r) {
+    advance_star(tracker, r, later);
+    ref.begin_round(r, later);
+  }
+  fast.resync(6, later, 0, tracker);
+  expect_matches(fast, ref, later, "after resync");
+  EXPECT_EQ(fast.classify(4), EdgeClass::kContributive);
+  EXPECT_EQ(fast.insertion_round(4), 1u);
+  EXPECT_EQ(fast.classify(1), EdgeClass::kIdle);
+}
+
+TEST(EdgeClassifierResync, RandomSleepsMatchMergeEveryRound) {
+  // Random star sequences; the node sleeps for random stretches and, on
+  // waking, is resynced iff an edge of its changed while it slept (the
+  // engine's dirty bit), else it takes the plain begin_round.
+  constexpr NodeId kUniverse = 12;
+  Rng rng(2024);
+  for (int seq = 0; seq < 40; ++seq) {
+    DynamicGraphTracker tracker(kUniverse + 1);
+    EdgeClassifier fast;
+    MergeEveryRound ref;
+    std::vector<NodeId> neighbors;
+    bool asleep = false;
+    bool dirty = false;
+    for (Round r = 1; r <= 80; ++r) {
+      std::vector<NodeId> next = neighbors;
+      if (rng.bernoulli(0.4)) {
+        next.clear();
+        for (const NodeId w : neighbors) {
+          if (!rng.bernoulli(0.3)) next.push_back(w);
+        }
+        for (NodeId w = 1; w <= kUniverse; ++w) {
+          if (rng.bernoulli(0.15)) next.push_back(w);
+        }
+        std::sort(next.begin(), next.end());
+        next.erase(std::unique(next.begin(), next.end()), next.end());
+      }
+      if (asleep && next != neighbors) dirty = true;
+      neighbors = std::move(next);
+      advance_star(tracker, r, neighbors);
+      ref.begin_round(r, neighbors);
+      if (asleep && rng.bernoulli(0.6)) continue;  // sleeps through round r
+      if (dirty) {
+        fast.resync(r, neighbors, 0, tracker);
+      } else {
+        fast.begin_round(r, neighbors);
+      }
+      asleep = rng.bernoulli(0.5);
+      dirty = false;
+      expect_matches(fast, ref, neighbors, "awake");
+      if (::testing::Test::HasFailure()) return;
       for (const NodeId w : neighbors) {
         if (rng.bernoulli(0.1)) {
           fast.note_learning_over(w);

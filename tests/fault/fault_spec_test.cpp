@@ -49,15 +49,15 @@ TEST(FaultSpec, AllZeroRatesAreInactive) {
 }
 
 TEST(FaultSpec, RejectsMalformedSpecs) {
-  EXPECT_THROW(FaultSpec::parse("fault:bogus=1"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("faults:drop=0.1"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("fault:drop=1.5"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("fault:drop=-0.1"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("fault:drop=abc"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse("fault:amnesia=2"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:bogus=1"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("faults:drop=0.1"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:drop=1.5"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:drop=-0.1"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:drop=abc"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:amnesia=2"), FaultSpecError);
   // drop + dup is one delivery roll; the probabilities cannot exceed 1.
-  EXPECT_THROW(FaultSpec::parse("fault:drop=0.7,dup=0.4"), FaultSpecError);
-  EXPECT_THROW(FaultSpec::parse(""), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse("fault:drop=0.7,dup=0.4"), FaultSpecError);
+  EXPECT_THROW((void)FaultSpec::parse(""), FaultSpecError);
 }
 
 TEST(FaultSpec, FamilyDocListsEveryKey) {
@@ -66,7 +66,7 @@ TEST(FaultSpec, FamilyDocListsEveryKey) {
   ASSERT_NE(doc.keys, nullptr);
   EXPECT_EQ(doc.keys, &fault_spec_keys());
   // The documented example must itself parse (the listing is executable).
-  EXPECT_NO_THROW(FaultSpec::parse(doc.example));
+  EXPECT_NO_THROW((void)FaultSpec::parse(doc.example));
   bool saw_drop = false;
   for (const SpecKey& key : *doc.keys) saw_drop = saw_drop || key.key == "drop";
   EXPECT_TRUE(saw_drop);

@@ -187,6 +187,7 @@ TEST(Connectivity, BfsLabellingMatchesUnionFind) {
         expect_same_components(connected_components(g), want, "free function");
         EXPECT_EQ(checker.is_connected(g), want.count <= 1);
         EXPECT_EQ(checker.is_connected(RoundGraphView(g)), want.count <= 1);
+        EXPECT_EQ(checker.components(RoundGraphView(g)).count, want.count);
         EXPECT_EQ(is_connected(g), want.count <= 1);
       }
     }

@@ -64,7 +64,9 @@ TEST_P(ChurnStabilityTest, ChurnAdversaryHonorsSigma) {
     v.observe(adversary.broadcast_round(dummy), r);
   }
   EXPECT_EQ(v.violations(), 0u) << "sigma=" << sigma;
-  if (sigma > 1) EXPECT_GE(v.min_lifetime(), sigma);
+  if (sigma > 1) {
+    EXPECT_GE(v.min_lifetime(), sigma);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Sigmas, ChurnStabilityTest, ::testing::Values(1, 2, 3, 5, 8));
