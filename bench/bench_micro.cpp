@@ -16,6 +16,9 @@
 //     n up to 10⁵ serial vs sharded across a worker pool (the sharded case
 //     only wins on multi-core hosts; on one core it measures fork/join
 //     overhead, which is the other number worth tracking).
+//   BM_ChurnRound, BM_TrackerAdvance, BM_ComponentsCsr — the three O(m)
+//     passes of a churn round: the adversary step, the engine's topology
+//     diff, and its connectivity BFS.
 //   BM_SyncRoundTrial vs BM_AsyncEventLoopTrial — one full single-source
 //     trial through the synchronous round engine vs the continuous-time
 //     event loop at matched n, pricing the two engine planes side by side.
@@ -41,6 +44,7 @@
 #include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
 #include "graph/connectivity.hpp"
+#include "graph/dynamic_tracker.hpp"
 #include "graph/generators.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/potential.hpp"
@@ -114,6 +118,63 @@ void BM_ChurnRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_ChurnRound)->Arg(128)->Arg(512);
+
+/// CSR snapshots of the first `rounds` rounds of a frontier-shaped churn
+/// schedule (8n edges, n/8 cuts per round).
+std::vector<RoundGraphView> churn_snapshots(std::size_t n, Round rounds) {
+  ChurnConfig cc;
+  cc.n = n;
+  cc.target_edges = 8 * n;
+  cc.churn_per_round = n / 8;
+  cc.seed = 5;
+  ChurnAdversary adversary(cc);
+  std::vector<RoundGraphView> views(rounds);
+  UnicastRoundView round_view;
+  for (Round r = 1; r <= rounds; ++r) {
+    round_view.round = r;
+    views[r - 1].rebuild(adversary.unicast_round(round_view));
+  }
+  return views;
+}
+
+/// The engine's per-round topology ingest alone: a tracker advance over
+/// pre-built churn snapshots.  Every 64 rounds the replay restarts on a
+/// fresh tracker, outside the timed region.
+void BM_TrackerAdvance(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  constexpr Round kRounds = 64;
+  const std::vector<RoundGraphView> views = churn_snapshots(n, kRounds);
+  auto tracker = std::make_unique<DynamicGraphTracker>(n);
+  tracker->advance(views[0], 1);
+  Round r = 1;
+  for (auto _ : state) {
+    if (r == kRounds) {
+      state.PauseTiming();
+      tracker = std::make_unique<DynamicGraphTracker>(n);
+      tracker->advance(views[0], 1);
+      r = 1;
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(tracker->advance(views[r], r + 1).inserted.size());
+    ++r;
+  }
+}
+BENCHMARK(BM_TrackerAdvance)->Arg(512)->Arg(4096);
+
+/// The engines' per-round connectivity check: one BFS labelling of a CSR
+/// snapshot.  It cycles through 64 churn rounds, because a walk repeated
+/// over one graph lets the branch predictor learn it.
+void BM_ComponentsCsr(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const std::vector<RoundGraphView> views = churn_snapshots(n, 64);
+  ConnectivityChecker checker;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checker.components(views[i]).count);
+    i = (i + 1) % views.size();
+  }
+}
+BENCHMARK(BM_ComponentsCsr)->Arg(512)->Arg(4096);
 
 void BM_FreeGraphAnalysis(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -49,6 +49,39 @@ void ChurnAdversary::reset_ages(Round r) {
   std::sort(inserted_at_.begin(), inserted_at_.end());
 }
 
+void ChurnAdversary::fold_ages(std::span<const EdgeKey> cut, Round r) {
+  // One merge of three sorted lists: the age list, the cut (a subset of its
+  // keys) and this round's insertions (aged r).  An insertion is never a
+  // surviving key, since it was absent when added; it may be a cut key
+  // re-added this round, which comes back aged r.  Cuts and insertions are
+  // few next to the age list, so the surviving runs between them are
+  // copied whole.
+  std::sort(pending_.begin(), pending_.end());
+  age_scratch_.resize(inserted_at_.size() - cut.size() + pending_.size());
+  auto src = inserted_at_.cbegin();
+  auto dst = age_scratch_.begin();
+  std::size_t c = 0;
+  std::size_t p = 0;
+  while (c < cut.size() || p < pending_.size()) {
+    const bool is_cut = c < cut.size() && (p == pending_.size() || cut[c] <= pending_[p]);
+    const EdgeKey key = is_cut ? cut[c] : pending_[p];
+    const auto run_end = std::find_if(src, inserted_at_.cend(),
+                                      [key](const auto& entry) { return entry.first >= key; });
+    dst = std::copy(src, run_end, dst);
+    src = run_end;
+    if (is_cut) {
+      DG_DCHECK(src->first == key);
+      ++src;
+      ++c;
+    } else {
+      *dst++ = {key, r};
+      ++p;
+    }
+  }
+  std::copy(src, inserted_at_.cend(), dst);
+  std::swap(inserted_at_, age_scratch_);
+}
+
 const Graph& ChurnAdversary::next_graph(Round r) {
   DG_CHECK(r == last_round_ + 1);
   last_round_ = r;
@@ -74,23 +107,12 @@ const Graph& ChurnAdversary::next_graph(Round r) {
   }
   rng_.shuffle(removable_);
   const std::size_t cuts = std::min(cfg_.churn_per_round, removable_.size());
-  if (cuts > 0) {
-    // The cut prefix is sorted in place; the shuffled tail is not read again.
-    const std::span<EdgeKey> cut(removable_.data(), cuts);
-    std::sort(cut.begin(), cut.end());
-    for (const EdgeKey key : cut) {
-      const auto [u, v] = edge_endpoints(key);
-      current_.remove_edge(u, v);
-    }
-    // Compact the age list, dropping the cut edges (both lists sorted).
-    age_scratch_.clear();
-    std::size_t c = 0;
-    for (const auto& entry : inserted_at_) {
-      while (c < cut.size() && cut[c] < entry.first) ++c;
-      if (c < cut.size() && cut[c] == entry.first) continue;
-      age_scratch_.push_back(entry);
-    }
-    std::swap(inserted_at_, age_scratch_);
+  // The cut prefix is sorted in place; the shuffled tail is not read again.
+  const std::span<EdgeKey> cut(removable_.data(), cuts);
+  std::sort(cut.begin(), cut.end());
+  for (const EdgeKey key : cut) {
+    const auto [u, v] = edge_endpoints(key);
+    current_.remove_edge(u, v);
   }
 
   // 2. Replenish toward the target edge count.
@@ -105,14 +127,8 @@ const Graph& ChurnAdversary::next_graph(Round r) {
     pending_.push_back(key);
   }
 
-  // Fold this round's insertions into the sorted age list.
-  if (!pending_.empty()) {
-    std::sort(pending_.begin(), pending_.end());
-    const auto old_size = static_cast<std::ptrdiff_t>(inserted_at_.size());
-    for (const EdgeKey key : pending_) inserted_at_.push_back({key, r});
-    std::inplace_merge(inserted_at_.begin(), inserted_at_.begin() + old_size,
-                       inserted_at_.end());
-  }
+  // 4. Fold the cuts and this round's insertions into the sorted age list.
+  if (!cut.empty() || !pending_.empty()) fold_ages(cut, r);
   return current_;
 }
 

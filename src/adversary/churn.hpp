@@ -14,6 +14,7 @@
 // algorithm's "free budget" dominates.
 #pragma once
 
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -51,6 +52,10 @@ class ChurnAdversary final : public ObliviousAdversary {
   /// Rebuilds inserted_at_ from current_ with every edge aged `r`.
   void reset_ages(Round r);
 
+  /// Drops the sorted `cut` keys from inserted_at_ and adds pending_ aged
+  /// `r`, in one merge pass.
+  void fold_ages(std::span<const EdgeKey> cut, Round r);
+
   ChurnConfig cfg_;
   Rng rng_;
   Graph current_;
@@ -58,7 +63,7 @@ class ChurnAdversary final : public ObliviousAdversary {
   /// set).  The σ-stability scan walks this in order, so the removable list
   /// needs no per-round sort and no hashing.
   std::vector<std::pair<EdgeKey, Round>> inserted_at_;
-  std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< compaction buffer
+  std::vector<std::pair<EdgeKey, Round>> age_scratch_;  ///< fold_ages buffer
   std::vector<EdgeKey> pending_;  ///< edges inserted in the current round
   std::vector<EdgeKey> removable_;  ///< σ-old edges, shuffled to pick cuts
   ConnectivityChecker connectivity_;  ///< reused buffers of the repair

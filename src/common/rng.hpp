@@ -42,7 +42,8 @@ class Rng {
   static constexpr result_type max() noexcept { return ~0ull; }
   result_type operator()() noexcept { return next(); }
 
-  /// Next raw 64 random bits.
+  /// Next raw 64 random bits.  Defined inline (below) with next_below: the
+  /// shuffles and rejection samplers draw thousands of times per round.
   std::uint64_t next() noexcept;
 
   /// Uniform integer in [0, bound).  Requires bound > 0.  Unbiased
@@ -92,7 +93,40 @@ class Rng {
   [[nodiscard]] Rng split() noexcept;
 
  private:
+  [[nodiscard]] static constexpr std::uint64_t rotl(std::uint64_t x, int k) noexcept {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
+
+inline std::uint64_t Rng::next() noexcept {
+  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+  const std::uint64_t t = s_[1] << 17;
+  s_[2] ^= s_[0];
+  s_[3] ^= s_[1];
+  s_[1] ^= s_[2];
+  s_[0] ^= s_[3];
+  s_[2] ^= t;
+  s_[3] = rotl(s_[3], 45);
+  return result;
+}
+
+inline std::uint64_t Rng::next_below(std::uint64_t bound) noexcept {
+  DG_CHECK(bound > 0);
+  // Lemire's method: multiply-shift with rejection of the biased low range.
+  std::uint64_t x = next();
+  __uint128_t m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+  auto low = static_cast<std::uint64_t>(m);
+  if (low < bound) {
+    const std::uint64_t threshold = (0 - bound) % bound;
+    while (low < threshold) {
+      x = next();
+      m = static_cast<__uint128_t>(x) * static_cast<__uint128_t>(bound);
+      low = static_cast<std::uint64_t>(m);
+    }
+  }
+  return static_cast<std::uint64_t>(m >> 64);
+}
 
 }  // namespace dyngossip

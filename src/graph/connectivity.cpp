@@ -5,40 +5,41 @@
 
 namespace dyngossip {
 
-namespace {
-
-constexpr std::size_t kUnlabelled = std::numeric_limits<std::size_t>::max();
-
-}  // namespace
-
 template <typename G>
 const ComponentInfo& ConnectivityChecker::label(const G& g) {
   const std::size_t n = g.num_nodes();
-  info_.labels.assign(n, kUnlabelled);
   info_.representatives.clear();
-  info_.count = 0;
   member_begin_.clear();
-  queue_.clear();
-  queue_.reserve(n);
+  seen_.assign(n, 0);
+  // queue_ doubles as the BFS queue: elements are appended and consumed by
+  // index, never erased, so each component stays one contiguous slice.  The
+  // append is branch-free: every neighbor is written at the tail, which
+  // advances only past unseen ones.  Once all n nodes are queued the writes
+  // land in the one spare slot.
+  queue_.resize(n + 1);
+  std::size_t tail = 0;
   for (NodeId root = 0; root < n; ++root) {
-    if (info_.labels[root] != kUnlabelled) continue;
-    const std::size_t c = info_.count++;
+    if (seen_[root] != 0) continue;
     info_.representatives.push_back(root);
-    member_begin_.push_back(queue_.size());
-    info_.labels[root] = c;
-    queue_.push_back(root);
-    // queue_ doubles as the BFS queue: elements are appended and consumed
-    // by index, never erased, so each component stays one contiguous slice.
-    for (std::size_t head = member_begin_.back(); head < queue_.size(); ++head) {
+    member_begin_.push_back(tail);
+    seen_[root] = 1;
+    queue_[tail++] = root;
+    for (std::size_t head = member_begin_.back(); head < tail; ++head) {
       for (const NodeId w : g.neighbors(queue_[head])) {
-        if (info_.labels[w] == kUnlabelled) {
-          info_.labels[w] = c;
-          queue_.push_back(w);
-        }
+        queue_[tail] = w;
+        tail += seen_[w] ^ 1u;
+        seen_[w] = 1;
       }
     }
   }
+  info_.count = info_.representatives.size();
   member_begin_.push_back(n);
+  info_.labels.resize(n);
+  for (std::size_t c = 0; c < info_.count; ++c) {
+    for (std::size_t i = member_begin_[c]; i < member_begin_[c + 1]; ++i) {
+      info_.labels[queue_[i]] = c;
+    }
+  }
   if (info_.count > 1) {
     for (std::size_t c = 0; c < info_.count; ++c) {
       std::sort(queue_.begin() + static_cast<std::ptrdiff_t>(member_begin_[c]),

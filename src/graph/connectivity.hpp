@@ -71,7 +71,9 @@ class ConnectivityChecker {
   const ComponentInfo& label(const G& g);
 
   ComponentInfo info_;
-  /// BFS queue; after label() it holds the components back to back.
+  std::vector<std::uint8_t> seen_;  ///< label(): visited bytes
+  /// BFS queue (n + 1 slots); after label() its first n hold the components
+  /// back to back.
   std::vector<NodeId> queue_;
   std::vector<std::size_t> member_begin_;  ///< per-label offsets into queue_
   std::vector<std::size_t> order_;         ///< connect(): shuffled labels

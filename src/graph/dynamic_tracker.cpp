@@ -1,70 +1,88 @@
 #include "graph/dynamic_tracker.hpp"
 
 #include <algorithm>
+#include <span>
 
 #include "common/check.hpp"
 
 namespace dyngossip {
 
-DynamicGraphTracker::DynamicGraphTracker(std::size_t n) : n_(n) {}
+DynamicGraphTracker::DynamicGraphTracker(std::size_t n) : n_(n) {
+  live_.offsets.assign(n + 1, 0);  // G_0 = ∅: every block empty
+}
 
-void DynamicGraphTracker::merge_round(const std::vector<EdgeKey>& edges, Round r) {
+GraphDiff DynamicGraphTracker::advance(const Graph& g, Round r) {
+  DG_CHECK(g.num_nodes() == n_);
+  view_.rebuild(g);
+  return advance(view_, r);  // copy: the public Graph-based contract returns by value
+}
+
+const GraphDiff& DynamicGraphTracker::advance(const RoundGraphView& view, Round r) {
+  DG_CHECK(view.num_nodes() == n_);
   DG_CHECK(r == last_round_ + 1);
   last_round_ = r;
 
   diff_.inserted.clear();
   diff_.removed.clear();
-  live_scratch_.clear();
+  next_.offsets.resize(n_ + 1);
+  next_.targets.assign(view.arc_targets().begin(), view.arc_targets().end());
+  next_.inserted.resize(view.num_arcs());
 
-  // One pass over two sorted sequences: the previous live set and the new
-  // round's edge list.  Matches survive with their insertion round; edges
-  // only in the old set are removals; edges only in the new list are
-  // insertions.  Output stays sorted, so the merge repeats next round.
-  std::size_t i = 0;  // over live_
-  std::size_t j = 0;  // over edges
-  while (i < live_.size() || j < edges.size()) {
-    if (j == edges.size() ||
-        (i < live_.size() && live_[i].key < edges[j])) {
-      const Round lifetime = r - live_[i].inserted;  // present [inserted, r-1]
-      min_lifetime_ = (min_lifetime_ == kNoRound) ? lifetime
-                                                  : std::min(min_lifetime_, lifetime);
-      diff_.removed.push_back(live_[i].key);
-      ++deletions_;
-      ++i;
-    } else if (i == live_.size() || edges[j] < live_[i].key) {
-      diff_.inserted.push_back(edges[j]);
-      ++tc_;
-      live_scratch_.push_back({edges[j], r});
-      ++j;
-    } else {
-      live_scratch_.push_back(live_[i]);
-      ++i;
-      ++j;
+  for (NodeId u = 0; u < n_; ++u) {
+    const std::span<const NodeId> now = view.neighbors(u);
+    const std::size_t old_begin = live_.offsets[u];
+    const std::size_t old_len = live_.offsets[u + 1] - old_begin;
+    const NodeId* old_targets = live_.targets.data() + old_begin;
+    const Round* old_rounds = live_.inserted.data() + old_begin;
+    const std::size_t begin = next_.offsets[u];
+    next_.offsets[u + 1] = begin + now.size();
+    Round* rounds = next_.inserted.data() + begin;
+
+    // An unchanged block keeps every insertion round.
+    if (now.size() == old_len && std::equal(now.begin(), now.end(), old_targets)) {
+      std::copy(old_rounds, old_rounds + old_len, rounds);
+      continue;
+    }
+    // Two-pointer merge of the old and new sorted blocks.  Each edge {u, w}
+    // appears in both endpoints' blocks; only u's side (u < w) reports it,
+    // so walking u upward emits both lists in canonical EdgeKey order.
+    std::size_t i = 0;  // over the old block
+    std::size_t j = 0;  // over the new block
+    while (i < old_len || j < now.size()) {
+      if (j == now.size() || (i < old_len && old_targets[i] < now[j])) {
+        if (u < old_targets[i]) {
+          const Round lifetime = r - old_rounds[i];  // present [inserted, r-1]
+          min_lifetime_ = std::min(min_lifetime_, lifetime);
+          diff_.removed.push_back(edge_key(u, old_targets[i]));
+          ++deletions_;
+        }
+        ++i;
+      } else if (i == old_len || now[j] < old_targets[i]) {
+        rounds[j] = r;
+        if (u < now[j]) {
+          diff_.inserted.push_back(edge_key(u, now[j]));
+          ++tc_;
+        }
+        ++j;
+      } else {
+        rounds[j] = old_rounds[i];
+        ++i;
+        ++j;
+      }
     }
   }
-  std::swap(live_, live_scratch_);
-}
-
-GraphDiff DynamicGraphTracker::advance(const Graph& g, Round r) {
-  DG_CHECK(g.num_nodes() == n_);
-  edge_scratch_ = g.sorted_edges();
-  merge_round(edge_scratch_, r);
-  return diff_;  // copy: the public Graph-based contract returns by value
-}
-
-const GraphDiff& DynamicGraphTracker::advance(const RoundGraphView& view, Round r) {
-  DG_CHECK(view.num_nodes() == n_);
-  edge_scratch_.clear();
-  view.for_each_edge([this](EdgeKey key) { edge_scratch_.push_back(key); });
-  merge_round(edge_scratch_, r);
+  std::swap(live_, next_);
   return diff_;
 }
 
 Round DynamicGraphTracker::insertion_round(EdgeKey key) const {
-  const auto it = std::lower_bound(
-      live_.begin(), live_.end(), key,
-      [](const LiveEdge& e, EdgeKey k) { return e.key < k; });
-  return (it == live_.end() || it->key != key) ? kNoRound : it->inserted;
+  const auto [u, w] = edge_endpoints(key);
+  if (u >= w || w >= n_) return kNoRound;
+  const auto first = live_.targets.begin() + static_cast<std::ptrdiff_t>(live_.offsets[u]);
+  const auto last = live_.targets.begin() + static_cast<std::ptrdiff_t>(live_.offsets[u + 1]);
+  const auto it = std::lower_bound(first, last, w);
+  if (it == last || *it != w) return kNoRound;
+  return live_.inserted[static_cast<std::size_t>(it - live_.targets.begin())];
 }
 
 }  // namespace dyngossip

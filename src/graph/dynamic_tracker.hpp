@@ -8,10 +8,13 @@
 // edge's most recent insertion round (needed both for σ-stability validation
 // and for the "new edge" classification of Algorithm 1).
 //
-// Storage is a sorted flat array of (edge, insertion round) pairs: each
-// round's diff is one linear merge against the snapshot's canonical edge
-// order, reusing scratch buffers — no hashing and no steady-state
-// allocation on the engine hot path.
+// Storage is the previous round's CSR: offsets, sorted neighbor blocks and
+// one insertion round per arc, double-buffered.  Each round diffs node block
+// against node block.  A block whose bytes did not change copies its rounds
+// and moves on; a changed block runs a two-pointer merge and reports each
+// edge {u, w} from u's side only (u < w), so E+ and E- come out in canonical
+// EdgeKey order.  No hashing and no steady-state allocation on the engine
+// hot path.
 #pragma once
 
 #include <vector>
@@ -52,7 +55,8 @@ class DynamicGraphTracker {
   [[nodiscard]] std::uint64_t deletions() const noexcept { return deletions_; }
 
   /// Most recent insertion round of a currently live edge; kNoRound if the
-  /// edge is not currently present.
+  /// edge is not currently present (or names a node outside [0, n)).
+  /// O(log deg) binary search in the lower endpoint's block.
   [[nodiscard]] Round insertion_round(EdgeKey key) const;
 
   /// Shortest completed presence interval observed so far (in rounds); the
@@ -69,20 +73,18 @@ class DynamicGraphTracker {
   [[nodiscard]] std::size_t num_nodes() const noexcept { return n_; }
 
  private:
-  struct LiveEdge {
-    EdgeKey key;
-    Round inserted;
+  /// One CSR generation: the arcs of round r and their insertion rounds.
+  struct Snapshot {
+    std::vector<std::size_t> offsets;  ///< n + 1 prefix sums
+    std::vector<NodeId> targets;       ///< sorted per source block
+    std::vector<Round> inserted;       ///< insertion round per arc
   };
 
-  /// Shared merge step: `edges` must be the new round's canonical sorted
-  /// edge list.
-  void merge_round(const std::vector<EdgeKey>& edges, Round r);
-
   std::size_t n_;
-  std::vector<LiveEdge> live_;          ///< sorted by key
-  std::vector<LiveEdge> live_scratch_;  ///< merge double-buffer
-  std::vector<EdgeKey> edge_scratch_;   ///< snapshot edge-list buffer
-  GraphDiff diff_;                      ///< reused by the view-based advance
+  Snapshot live_;      ///< the last ingested round
+  Snapshot next_;      ///< double buffer the next round is written into
+  RoundGraphView view_;  ///< the Graph overload's snapshot
+  GraphDiff diff_;     ///< reused by the view-based advance
   std::uint64_t tc_ = 0;
   std::uint64_t deletions_ = 0;
   Round min_lifetime_ = kNoRound;

@@ -2,7 +2,8 @@
 //
 // The engines consume each round's topology read-only and in full: every
 // node reads its sorted neighbor list, the budget check addresses directed
-// edges, connectivity is verified, and the tracker diffs the edge set.
+// edges, connectivity is verified, and the tracker diffs each node's
+// neighbor block against its copy of the previous round's CSR.
 // Serving all of that off the mutable Graph costs a per-node allocation and
 // sort per round (Graph::sorted_neighbors).  RoundGraphView is the
 // flat-snapshot alternative used by graph-processing systems (Ligra-style
@@ -10,7 +11,8 @@
 //   - neighbors(v) is a sorted span (no allocation, no sort),
 //   - every directed edge v->w has a dense arc index in [0, 2m) usable as a
 //     key into flat per-round arrays (the engines' payload budgets),
-//   - edges enumerate in canonical EdgeKey order for O(m) set diffs.
+//   - sorted blocks make a round-to-round diff one byte compare per
+//     unchanged node and a two-pointer merge per changed one.
 //
 // The sortedness falls out of the rebuild for free: scanning source nodes
 // in increasing order appends each target list in increasing source order,
@@ -64,6 +66,9 @@ class RoundGraphView {
     return {targets_.data() + offsets_[v], offsets_[v + 1] - offsets_[v]};
   }
 
+  /// Every neighbor block back to back, in arc-index order.
+  [[nodiscard]] std::span<const NodeId> arc_targets() const noexcept { return targets_; }
+
   /// First arc index of v's neighbor block (arc of v's i-th neighbor is
   /// arc_begin(v) + i).
   [[nodiscard]] std::size_t arc_begin(NodeId v) const {
@@ -80,18 +85,6 @@ class RoundGraphView {
     DG_DCHECK(u < num_nodes_ && v < num_nodes_);
     return degree(u) <= degree(v) ? arc_index(u, v) != kNoArc
                                   : arc_index(v, u) != kNoArc;
-  }
-
-  /// Visits every undirected edge once, in increasing canonical EdgeKey
-  /// order (lower endpoint ascending, then higher endpoint ascending).
-  template <typename Fn>
-  void for_each_edge(Fn&& fn) const {
-    for (NodeId u = 0; u < num_nodes_; ++u) {
-      for (std::size_t i = offsets_[u]; i < offsets_[u + 1]; ++i) {
-        const NodeId v = targets_[i];
-        if (v > u) fn(edge_key(u, v));
-      }
-    }
   }
 
  private:

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -143,6 +144,72 @@ TEST(Rng, SplitStreamsAreIndependent) {
   int equal = 0;
   for (int i = 0; i < 1000; ++i) equal += (c1.next() == c2.next());
   EXPECT_LT(equal, 5);
+}
+
+// Literal draws pin the stream itself: every schedule, graph generator and
+// randomized protocol is a function of these values, so a change to the
+// generator's arithmetic must show up here rather than as drifted payloads.
+TEST(RngGolden, NextIsPinned) {
+  Rng rng(42);
+  for (const std::uint64_t want :
+       {0x15780b2e0c2ec716ull, 0x6104d9866d113a7eull, 0xae17533239e499a1ull,
+        0xecb8ad4703b360a1ull}) {
+    EXPECT_EQ(rng.next(), want);
+  }
+}
+
+TEST(RngGolden, NextBelowIsPinned) {
+  struct Case {
+    std::uint64_t bound;
+    std::vector<std::uint64_t> draws;
+    std::uint64_t next_after;  ///< the raw draw that follows (counts rejections)
+  };
+  const std::vector<Case> cases = {
+      {1, {0, 0, 0, 0, 0, 0, 0, 0}, 0x180ce3f7f297c5cdull},
+      {7, {3, 6, 4, 0, 1, 1, 5, 0}, 0x180ce3f7f297c5cdull},
+      {(1ull << 32) + 1,
+       {2422715540ull, 4120432423ull, 2900037274ull, 328507101ull, 699518645ull,
+        1219321300ull, 3485482147ull, 333237577ull},
+       0x180ce3f7f297c5cdull},
+      // Just over 2^63: about half of all raw draws fall in the rejected
+      // low range, so this case runs Lemire's rejection loop.
+      {(1ull << 63) + 1,
+       {5202742004699958244ull, 705463628091124187ull, 7485015916261750942ull,
+        866505305348629222ull, 1188684565262527488ull, 1660446388817604348ull,
+        1035603272523623730ull, 6762257919714845645ull},
+       0x93be5291c1318fc8ull},
+  };
+  for (const Case& c : cases) {
+    Rng rng(43);
+    for (const std::uint64_t want : c.draws) {
+      EXPECT_EQ(rng.next_below(c.bound), want) << "bound " << c.bound;
+    }
+    EXPECT_EQ(rng.next(), c.next_after) << "bound " << c.bound;
+  }
+}
+
+TEST(RngGolden, Uniform01IsPinned) {
+  Rng rng(44);
+  for (const double want : {0x1.a25dc8f3b013p-1, 0x1.5df15caa37e1dp-1,
+                            0x1.a868585f557eep-1, 0x1.5910fc1234a92p-2}) {
+    EXPECT_EQ(rng.uniform01(), want);
+  }
+}
+
+TEST(RngGolden, ShuffleIsPinned) {
+  const std::vector<std::pair<std::uint64_t, std::vector<int>>> cases = {
+      {45, {14, 15, 22, 9,  2,  7,  3,  27, 25, 12, 28, 26, 21, 31, 16, 23,
+            8,  20, 30, 11, 1,  29, 17, 6,  24, 13, 19, 10, 18, 5,  0,  4}},
+      {46, {10, 16, 5,  12, 14, 27, 2,  28, 31, 29, 20, 11, 13, 1,  25, 3,
+            15, 6,  7,  21, 4,  24, 9,  17, 26, 0,  23, 18, 30, 8,  19, 22}},
+  };
+  for (const auto& [seed, want] : cases) {
+    Rng rng(seed);
+    std::vector<int> v(32);
+    for (int i = 0; i < 32; ++i) v[static_cast<std::size_t>(i)] = i;
+    rng.shuffle(v);
+    EXPECT_EQ(v, want) << "seed " << seed;
+  }
 }
 
 TEST(Rng, WorksWithStdDistributions) {

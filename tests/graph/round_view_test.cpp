@@ -79,14 +79,18 @@ TEST(RoundGraphView, ArcIndexOfAbsentEdgeIsNoArc) {
   EXPECT_FALSE(view.has_edge(0, 3));
 }
 
-TEST(RoundGraphView, ForEachEdgeVisitsCanonicalSortedOrder) {
+TEST(RoundGraphView, ArcTargetsAreTheBlocksBackToBack) {
   Rng rng(11);
   const Graph g = random_connected_with_edges(48, 140, rng);
   const RoundGraphView view(g);
-  std::vector<EdgeKey> visited;
-  view.for_each_edge([&visited](EdgeKey key) { visited.push_back(key); });
-  EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
-  EXPECT_EQ(visited, g.sorted_edges());
+  std::vector<NodeId> blocks;
+  for (NodeId v = 0; v < 48; ++v) {
+    const std::span<const NodeId> neigh = view.neighbors(v);
+    blocks.insert(blocks.end(), neigh.begin(), neigh.end());
+  }
+  const std::span<const NodeId> arcs = view.arc_targets();
+  EXPECT_EQ(std::vector<NodeId>(arcs.begin(), arcs.end()), blocks);
+  EXPECT_EQ(arcs.size(), view.num_arcs());
 }
 
 TEST(RoundGraphView, RebuildTracksMutationsAndReusesBuffers) {
