@@ -22,6 +22,9 @@
 //   BM_SyncRoundTrial vs BM_AsyncEventLoopTrial — one full single-source
 //     trial through the synchronous round engine vs the continuous-time
 //     event loop at matched n, pricing the two engine planes side by side.
+//   BM_EventQueueSteady, BM_NthSetWord — the async event loop's two
+//     per-activation primitives: one pop plus re-push of the calendar
+//     queue, and one token pick inside a 64-token knowledge word.
 
 #include <benchmark/benchmark.h>
 
@@ -34,6 +37,8 @@
 #include "adversary/lb_adversary.hpp"
 #include "adversary/registry.hpp"
 #include "algo/registry.hpp"
+#include "async/event_queue.hpp"
+#include "async/poisson_clock.hpp"
 #include "common/disjoint_set.hpp"
 #include "common/dynamic_bitset.hpp"
 #include "common/knowledge_set.hpp"
@@ -389,8 +394,8 @@ BENCHMARK(BM_AlgoTrialRegistry)->Arg(48)->Arg(96);
 /// (neighbor_exchange — the push baseline) vs through the continuous-time
 /// event loop (async_push) on the same static schedule.  Both dispatch via
 /// run_algo, so the pair prices a full trial of each engine plane: round
-/// barriers + full neighborhood exchanges against heap pops + one contact
-/// per Poisson activation.  The absolute ratio is model-dependent (the
+/// barriers + full neighborhood exchanges against event-queue pops + one
+/// contact per Poisson activation.  The absolute ratio is model-dependent (the
 /// engines do different amounts of protocol work per trial); what the pair
 /// guards is each side's trend against itself.
 void BM_SyncRoundTrial(benchmark::State& state) {
@@ -430,6 +435,59 @@ void BM_AsyncEventLoopTrial(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AsyncEventLoopTrial)->Arg(64)->Arg(128);
+
+/// The async engine's steady state: n pending events (one per node), and
+/// each iteration pops the earliest and re-pushes its node one Exp(1) gap
+/// later.  Gaps come from a table of PoissonClock gaps keyed by the push
+/// sequence number, so the loop prices the queue, not the hash.
+void BM_EventQueueSteady(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  const PoissonClock clock(17, 1.0);
+  std::vector<double> gaps(1 << 16);
+  for (std::size_t i = 0; i < gaps.size(); ++i) gaps[i] = clock.gap(0, i);
+  const auto gap_of = [&gaps](std::uint64_t seq) {
+    return gaps[(seq * 0x9e3779b97f4a7c15ull) >> 48];
+  };
+  EventQueue queue(n, 1.0);
+  std::uint64_t seq = 0;
+  for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
+    queue.push({gap_of(seq), v, seq});
+    ++seq;
+  }
+  for (auto _ : state) {
+    const ActivationEvent e = queue.pop();
+    queue.push({e.time + gap_of(seq), e.node, seq});
+    ++seq;
+  }
+}
+BENCHMARK(BM_EventQueueSteady)->Arg(2048)->Arg(65536);
+
+/// One nth_set over a 64-token knowledge set (a single word), cycling
+/// through 1024 (fill, rank) pairs: 64 random fills of varied density and
+/// a uniform rank below each fill's count.
+void BM_NthSetWord(benchmark::State& state) {
+  Rng rng(23);
+  std::vector<DynamicBitset> sets;
+  for (int i = 0; i < 64; ++i) {
+    DynamicBitset b(64);
+    const double p = (i + 1) / 64.0;
+    for (std::size_t bit = 0; bit < 64; ++bit) {
+      if (rng.bernoulli(p)) b.set(bit);
+    }
+    if (b.count() == 0) b.set(rng.next_below(64));
+    sets.push_back(std::move(b));
+  }
+  std::vector<std::size_t> ranks(1024);
+  for (std::size_t i = 0; i < ranks.size(); ++i) {
+    ranks[i] = rng.next_below(sets[i & 63].count());
+  }
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sets[i & 63].nth_set(ranks[i]));
+    i = (i + 1) & 1023;
+  }
+}
+BENCHMARK(BM_NthSetWord);
 
 void BM_BroadcastEngineRound(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -10,7 +10,7 @@ namespace dyngossip {
 
 namespace {
 // Salts separating the engine's position-keyed choice streams from each
-// other and from the clock-gap stream (kClockSalt in poisson_clock.cpp).
+// other and from the clock-gap stream (PoissonClock::kClockSalt).
 constexpr std::uint64_t kNeighborSalt = 0xa5c0117ac7ull;  ///< neighbor pick
 constexpr std::uint64_t kPushSalt = 0x9705aa7eull;        ///< push token pick
 constexpr std::uint64_t kPullSalt = 0x9a11e77eull;        ///< pull token pick
@@ -31,14 +31,13 @@ AsyncEngine::AsyncEngine(Adversary& adversary,
       push_pull_(opts.push_pull),
       seed_(opts.seed),
       tracker_(adversary.num_nodes()),
-      control_(opts, kEventCadence, knowledge_, k, complete_nodes_, metrics_) {
+      control_(opts, kEventCadence, knowledge_, k, complete_nodes_, metrics_),
+      queue_(knowledge_.size(), opts.rate) {
   const std::size_t n = knowledge_.size();
   DG_CHECK(n >= 1);
-  DG_CHECK(n == adversary.num_nodes());
-  DG_CHECK(opts.rate > 0.0);
-  // Seed every node's first activation.  The heap holds exactly one pending
-  // event per node from here on (each pop schedules its successor).
-  queue_.reserve(n + 1);
+  DG_CHECK(n == adversary.num_nodes());  // rate > 0 is the queue's check
+  // Seed every node's first activation.  The queue holds exactly one
+  // pending event per node from here on (each pop schedules its successor).
   next_gap_index_.assign(n, 1);
   for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {
     queue_.push({clock_.gap(v, 0), v, seq_++});

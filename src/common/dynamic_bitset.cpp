@@ -8,6 +8,38 @@ namespace {
 [[nodiscard]] constexpr std::size_t words_for(std::size_t bits) noexcept {
   return (bits + 63) / 64;
 }
+
+constexpr std::uint64_t kOnesPerByte = 0x0101010101010101ull;
+constexpr std::uint64_t kHighPerByte = 0x8080808080808080ull;
+
+/// Byte i of the result is the number of set bits in bytes 0..i of `w`
+/// (broadword popcount per byte, then a prefix sum by multiplication).
+/// The top byte is popcount(w).  Every byte is <= 64, so its high bit is
+/// clear.  Plain arithmetic: no library popcount call without -mpopcnt.
+[[nodiscard]] constexpr std::uint64_t byte_prefix_counts(
+    std::uint64_t w) noexcept {
+  std::uint64_t s = w - ((w >> 1) & 0x5555555555555555ull);
+  s = (s & 0x3333333333333333ull) + ((s >> 2) & 0x3333333333333333ull);
+  s = (s + (s >> 4)) & 0x0f0f0f0f0f0f0f0full;
+  return s * kOnesPerByte;
+}
+
+/// Position of the set bit of rank `rank` (< popcount) in `w`, given
+/// `prefix = byte_prefix_counts(w)`.  Finds the byte broadword (the bytes
+/// whose prefix count is <= rank form a prefix of the word), then clears
+/// at most 7 lower bits inside it.
+[[nodiscard]] constexpr std::size_t select_in_word(std::uint64_t w,
+                                                   std::uint64_t prefix,
+                                                   std::size_t rank) noexcept {
+  const std::uint64_t le =
+      (((rank * kOnesPerByte) | kHighPerByte) - prefix) & kHighPerByte;
+  const auto byte = static_cast<unsigned>(((le >> 7) * kOnesPerByte) >> 56);
+  const unsigned shift = 8 * byte;
+  std::size_t in_byte = rank - (((prefix << 8) >> shift) & 0xff);
+  std::uint64_t bits = (w >> shift) & 0xff;
+  for (; in_byte > 0; --in_byte) bits &= bits - 1;
+  return shift + static_cast<std::size_t>(std::countr_zero(bits));
+}
 }  // namespace
 
 DynamicBitset::DynamicBitset(std::size_t size, bool initially_set)
@@ -122,14 +154,13 @@ std::size_t DynamicBitset::find_next_set(std::size_t from) const noexcept {
 std::size_t DynamicBitset::nth_set(std::size_t rank) const noexcept {
   if (rank >= count_) return size_;
   for (std::size_t i = 0;; ++i) {
-    std::uint64_t w = words_[i];
-    const auto pop = static_cast<std::size_t>(std::popcount(w));
+    const std::uint64_t prefix = byte_prefix_counts(words_[i]);
+    const std::size_t pop = prefix >> 56;
     if (rank >= pop) {
       rank -= pop;
       continue;
     }
-    for (; rank > 0; --rank) w &= w - 1;  // clear the lower set bits
-    return i * 64 + static_cast<std::size_t>(std::countr_zero(w));
+    return i * 64 + select_in_word(words_[i], prefix, rank);
   }
 }
 

@@ -177,7 +177,8 @@ class DynamicBitset {
   [[nodiscard]] std::size_t find_next_set(std::size_t from) const noexcept;
 
   /// Position of the rank-th set bit (0-based, increasing order), or size()
-  /// if rank >= count().  One popcount per word up to the one holding it.
+  /// if rank >= count().  One broadword popcount per word up to the one
+  /// holding it, then a constant-time select inside that word.
   [[nodiscard]] std::size_t nth_set(std::size_t rank) const noexcept;
 
   /// All unset positions in increasing order (the "missing token" list of

@@ -22,8 +22,14 @@
 
 namespace dyngossip {
 
-/// SplitMix64 step; used for seeding and as a cheap hash.
-[[nodiscard]] std::uint64_t splitmix64(std::uint64_t& state) noexcept;
+/// SplitMix64 step; used for seeding and as a cheap hash.  Inline: the
+/// async plane's position hashes fold two steps per decision.
+[[nodiscard]] inline std::uint64_t splitmix64(std::uint64_t& state) noexcept {
+  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
+  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+  return z ^ (z >> 31);
+}
 
 /// xoshiro256** pseudo-random generator with convenience sampling helpers.
 ///

@@ -1,6 +1,6 @@
-// Poisson clock sampler: position-keyed determinism, strict positivity, and
-// the exponential distribution's moments (mean 1/λ, variance 1/λ²) within
-// statistical tolerance at a fixed seed.
+// Poisson clock sampler: position-keyed determinism, strict positivity, the
+// exponential distribution's moments (mean 1/λ, variance 1/λ²) within
+// statistical tolerance at a fixed seed, and literal hash/gap pins.
 #include "async/poisson_clock.hpp"
 
 #include <gtest/gtest.h>
@@ -25,6 +25,70 @@ TEST(PositionHash, Uniform01StaysInHalfOpenUnitInterval) {
     const double u = position_uniform01(99, 7, i);
     EXPECT_GE(u, 0.0);
     EXPECT_LT(u, 1.0);
+  }
+}
+
+TEST(PositionHash, GoldenValues) {
+  // Literal values: every async neighbor, token and fault decision and every
+  // clock gap is keyed on these bits, so any change to the mixing moves
+  // payloads.  The salts are the engine's and the clock's own.
+  EXPECT_EQ(position_hash(0, 0, 0, 0), 0xe0d70a9716cd727dull);
+  EXPECT_EQ(position_hash(1, 2, 3, 4), 0x1f035ed6c5c0301full);
+  EXPECT_EQ(position_hash(42, 0xa5c0117ac7ull, 123456789),
+            0xa9a1cf98655be5baull);
+  EXPECT_EQ(position_hash(~0ull, 0x9705aa7eull, ~0ull, ~0ull),
+            0x4ce49f75b379d2acull);
+  EXPECT_EQ(position_hash(7, 0xc10c4a5a11ee7ull, 5, 99), 0x3200af9e0aeeb3f4ull);
+  EXPECT_EQ(position_uniform01(0, 0, 0, 0), 0x1.c1ae152e2d9aep-1);
+  EXPECT_EQ(position_uniform01(1, 2, 3, 4), 0x1.f035ed6c5c03p-4);
+  EXPECT_EQ(position_uniform01(42, 0xa5c0117ac7ull, 123456789),
+            0x1.53439f30cab7cp-1);
+  EXPECT_EQ(position_uniform01(~0ull, 0x9705aa7eull, ~0ull, ~0ull),
+            0x1.33927dd6cde74p-2);
+  EXPECT_EQ(position_uniform01(7, 0xc10c4a5a11ee7ull, 5, 99),
+            0x1.90057cf057758p-3);
+}
+
+TEST(PoissonClock, GoldenGaps) {
+  struct Pin {
+    double rate;
+    NodeId v;
+    std::uint64_t index;
+    double gap;
+  };
+  const Pin pins[] = {
+      {0.05, 0, 0, 0x1.159e8e6d4ed1cp+5},
+      {0.05, 0, 1, 0x1.c47a5fb7f166ap+1},
+      {0.05, 0, 1000000, 0x1.6e67d5448e8dap+4},
+      {0.05, 7, 0, 0x1.01bdd383f4e23p+1},
+      {0.05, 7, 1, 0x1.daf577960dcf5p+3},
+      {0.05, 7, 1000000, 0x1.0769c47664cd6p+3},
+      {0.05, 2047, 0, 0x1.ee30882c6dacfp-1},
+      {0.05, 2047, 1, 0x1.52882acd7d59ap+2},
+      {0.05, 2047, 1000000, 0x1.9b11f26e9d48cp+3},
+      {1.0, 0, 0, 0x1.bc30e3e217b6p+0},
+      {1.0, 0, 1, 0x1.69fb7fc65ab88p-3},
+      {1.0, 0, 1000000, 0x1.251fddd0720afp+0},
+      {1.0, 7, 0, 0x1.9c62ec06549d2p-4},
+      {1.0, 7, 1, 0x1.7bf792de7172bp-1},
+      {1.0, 7, 1000000, 0x1.a5760723d47bep-2},
+      {1.0, 2047, 0, 0x1.8b5a0689f1573p-5},
+      {1.0, 2047, 1, 0x1.0ed3557131148p-2},
+      {1.0, 2047, 1000000, 0x1.48db28587dd3dp-1},
+      {40.0, 0, 0, 0x1.635a4fe812f8p-5},
+      {40.0, 0, 1, 0x1.2195ffd1e22d3p-8},
+      {40.0, 0, 1000000, 0x1.d4ffc94d8344bp-6},
+      {40.0, 7, 0, 0x1.49e8bcd1dd4a8p-9},
+      {40.0, 7, 1, 0x1.2ff9424b8df56p-6},
+      {40.0, 7, 1000000, 0x1.512b38e976c98p-7},
+      {40.0, 2047, 0, 0x1.3c48053b2778fp-10},
+      {40.0, 2047, 1, 0x1.b152224eb4edap-8},
+      {40.0, 2047, 1000000, 0x1.0715b9e064a97p-6},
+  };
+  for (const Pin& pin : pins) {
+    const PoissonClock clock(1234, pin.rate);
+    EXPECT_EQ(clock.gap(pin.v, pin.index), pin.gap)
+        << "rate " << pin.rate << " v " << pin.v << " index " << pin.index;
   }
 }
 

@@ -3,6 +3,8 @@
 #include "common/dynamic_bitset.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <set>
 #include <vector>
 
@@ -235,6 +237,54 @@ TEST_P(BitsetCursorEdgeTest, NthSetMatchesPositionsOracle) {
 // Universe sizes: 0 and the word-boundary straddles.
 INSTANTIATE_TEST_SUITE_P(Sizes, BitsetCursorEdgeTest,
                          ::testing::Values(0, 1, 63, 64, 65, 128, 129, 1000));
+
+/// The reference in-word select: clear the `rank` lowest set bits.
+std::size_t naive_select(std::uint64_t w, std::size_t rank) {
+  for (; rank > 0; --rank) w &= w - 1;
+  return static_cast<std::size_t>(std::countr_zero(w));
+}
+
+/// `w` as the word at index `word` of a `words`-word bitset.
+DynamicBitset bitset_of_word(std::uint64_t w, std::size_t word,
+                             std::size_t words) {
+  DynamicBitset b(64 * words);
+  for (std::size_t i = 0; i < 64; ++i) {
+    if ((w >> i) & 1) b.set(64 * word + i);
+  }
+  return b;
+}
+
+TEST(DynamicBitsetNthSet, EveryRankOfSingleWordsMatchesTheNaiveSelect) {
+  std::vector<std::uint64_t> words{~0ull,
+                                   0x8000000000000001ull,
+                                   0xaaaaaaaaaaaaaaaaull,
+                                   0x5555555555555555ull,
+                                   0xff00ff00ff00ff00ull,
+                                   0x00000000ffffffffull,
+                                   0xff00000000000000ull,
+                                   0x0101010101010101ull,
+                                   0x8080808080808080ull};
+  for (int bit = 0; bit < 64; ++bit) words.push_back(1ull << bit);
+  Rng rng(99);
+  for (int i = 0; i < 200; ++i) words.push_back(rng.next());
+  for (int i = 0; i < 50; ++i) {
+    words.push_back(rng.next() & rng.next() & rng.next());  // sparse
+  }
+  for (const std::uint64_t w : words) {
+    // The word alone, and as the middle word of three (the select must add
+    // the word offset and skip the empty word before it).
+    for (const std::size_t word : {std::size_t{0}, std::size_t{1}}) {
+      const DynamicBitset b = bitset_of_word(w, word, 1 + 2 * word);
+      const auto pop = static_cast<std::size_t>(std::popcount(w));
+      ASSERT_EQ(b.count(), pop);
+      for (std::size_t rank = 0; rank < pop; ++rank) {
+        ASSERT_EQ(b.nth_set(rank), 64 * word + naive_select(w, rank))
+            << std::hex << "word 0x" << w << std::dec << " rank " << rank;
+      }
+      EXPECT_EQ(b.nth_set(pop), b.size());
+    }
+  }
+}
 
 TEST(DynamicBitsetCursor, WordBoundaryPositions) {
   DynamicBitset b(130);
