@@ -25,6 +25,9 @@
 //   BM_EventQueueSteady, BM_NthSetWord — the async event loop's two
 //     per-activation primitives: one pop plus re-push of the calendar
 //     queue, and one token pick inside a 64-token knowledge word.
+//   BM_MultiSourceRound — one Multi-Source-Unicast engine round, averaged
+//     over whole runs, on n-gossip (s = n = 128) and on table1's k = n²
+//     phase-2 shape (16 centers owning interleaved token lists).
 
 #include <benchmark/benchmark.h>
 
@@ -45,6 +48,7 @@
 #include "common/rng.hpp"
 #include "core/flooding.hpp"
 #include "core/knowledge.hpp"
+#include "core/multi_source.hpp"
 #include "core/single_source.hpp"
 #include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
@@ -534,6 +538,65 @@ void BM_UnicastEngineRound(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnicastEngineRound)->Arg(128)->Arg(256);
+
+/// One Multi-Source-Unicast round on churn (4n edges, n/8 churned per
+/// round, σ = 3).  Shape 0 is n-gossip at n = 128 (every node a source
+/// with one token, two-word source rows); shape 1 is table1's k = n²
+/// phase 2 at n = 32: 16 centers own the 1024 tokens as interleaved lists
+/// (t mod 16) and every node starts with a sixteenth of the tokens, as
+/// the walk phase leaves them.  A finished run is rebuilt outside the
+/// timing window, so the number is the mean round cost over whole runs.
+void BM_MultiSourceRound(benchmark::State& state) {
+  const bool gossip = state.range(0) == 0;
+  const std::size_t n = gossip ? 128 : 32;
+  TokenSpacePtr space;
+  std::vector<KnowledgeSet> initial;
+  if (gossip) {
+    std::vector<TokenSpace::SourceSpec> specs;
+    for (std::size_t v = 0; v < n; ++v) specs.push_back({static_cast<NodeId>(v), 1});
+    space = std::make_shared<TokenSpace>(TokenSpace::contiguous(specs));
+    initial = space->initial_knowledge(n);
+  } else {
+    constexpr std::uint32_t k = 1024;
+    constexpr std::size_t centers = 16;
+    std::vector<std::pair<NodeId, std::vector<TokenId>>> lists(centers);
+    for (std::size_t c = 0; c < centers; ++c) {
+      lists[c].first = static_cast<NodeId>(2 * c);
+    }
+    for (TokenId t = 0; t < k; ++t) lists[t % centers].second.push_back(t);
+    space = std::make_shared<TokenSpace>(k, std::move(lists));
+    initial = space->initial_knowledge(n);
+    Rng rng(19);
+    for (KnowledgeSet& ks : initial) {
+      for (TokenId t = 0; t < k; ++t) {
+        if (rng.bernoulli(1.0 / 16.0)) ks.set(t);
+      }
+    }
+  }
+  const MultiSourceConfig cfg{n, space};
+  std::unique_ptr<ChurnAdversary> adversary;
+  std::unique_ptr<UnicastEngine> engine;
+  std::uint64_t seed = 20;
+  for (auto _ : state) {
+    if (engine == nullptr || engine->all_complete()) {
+      state.PauseTiming();
+      engine.reset();
+      ChurnConfig cc;
+      cc.n = n;
+      cc.target_edges = 4 * n;
+      cc.churn_per_round = n / 8;
+      cc.sigma = 3;
+      cc.seed = ++seed;
+      adversary = std::make_unique<ChurnAdversary>(cc);
+      engine = std::make_unique<UnicastEngine>(
+          MultiSourceNode::make_all_with(cfg, initial), *adversary, initial,
+          space->total_tokens());
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(engine->step());
+  }
+}
+BENCHMARK(BM_MultiSourceRound)->ArgName("shape")->Arg(0)->Arg(1);
 
 /// Paired bitset-vs-hybrid cases on the xlarge regime's characteristic
 /// shape: universe = n = 10⁵ but only a few hundred tokens known (k = 256,

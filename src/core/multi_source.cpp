@@ -1,29 +1,36 @@
 #include "core/multi_source.hpp"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/check.hpp"
 
 namespace dyngossip {
 
+namespace {
+
+constexpr std::uint64_t bit_of(std::size_t x) { return std::uint64_t{1} << (x & 63); }
+
+/// Fibonacci hash of a node id (the row index's probe start).
+constexpr std::size_t hash_node(NodeId w) {
+  return static_cast<std::size_t>((std::uint64_t{w} * 0x9e3779b97f4a7c15ull) >> 32);
+}
+
+}  // namespace
+
 MultiSourceNode::MultiSourceNode(NodeId self, const MultiSourceConfig& cfg,
                                  const KnowledgeSet& initial_tokens)
-    : self_(self),
-      cfg_(cfg),
+    : cfg_(cfg),
       tokens_(cfg.space->total_tokens()),
+      words_((cfg.space->num_sources() + 63) / 64),
+      complete_bits_(words_, 0),
+      requestable_bits_(words_, 0),
       in_flight_(cfg.space->total_tokens()) {
   DG_CHECK(cfg_.space != nullptr);
   DG_CHECK(self < cfg_.n);
   DG_CHECK(initial_tokens.size() == tokens_.size());
   per_source_.resize(cfg_.space->num_sources());
-  for (auto& ps : per_source_) {
-    ps.informed = KnowledgeSet(cfg_.n);
-    ps.announcers = KnowledgeSet(cfg_.n);
-  }
-  // A source knows (and is complete w.r.t.) itself at time 0; other nodes
-  // discover sources through announcements.
-  const std::size_t own = cfg_.space->index_of_node(self);
-  if (own != kNotASource) per_source_[own].known = true;
+  for (auto& ps : per_source_) ps.announcers = KnowledgeSet(cfg_.n);
   for (const std::size_t t : initial_tokens.set_bits()) {
     account_token(static_cast<TokenId>(t));
   }
@@ -34,23 +41,86 @@ void MultiSourceNode::account_token(TokenId t) {
   const std::size_t x = cfg_.space->source_of_token(t);
   PerSource& ps = per_source_[x];
   ++ps.held;
-  if (ps.held == cfg_.space->count_of(x)) ps.complete = true;
+  if (ps.held < cfg_.space->count_of(x)) return;
+  // x joins I_v for good (tokens are never forgotten): it is no longer
+  // requestable, and every neighbor is owed its announcement again.
+  complete_bits_[x >> 6] |= bit_of(x);
+  requestable_bits_[x >> 6] &= ~bit_of(x);
+  std::fill(saturated_.begin(), saturated_.end(), std::uint8_t{0});
+}
+
+std::uint32_t MultiSourceNode::row_of(NodeId w) {
+  if (2 * (row_owner_.size() + 1) > row_index_.size()) {
+    // Grow the open-addressing index to keep its load at most 1/2.
+    row_index_.assign(std::max<std::size_t>(16, 2 * row_index_.size()), 0);
+    const std::size_t mask = row_index_.size() - 1;
+    for (std::uint32_t row = 0; row < row_owner_.size(); ++row) {
+      std::size_t h = hash_node(row_owner_[row]) & mask;
+      while (row_index_[h] != 0) h = (h + 1) & mask;
+      row_index_[h] = row + 1;
+    }
+  }
+  const std::size_t mask = row_index_.size() - 1;
+  for (std::size_t h = hash_node(w) & mask;; h = (h + 1) & mask) {
+    const std::uint32_t e = row_index_[h];
+    if (e == 0) {
+      row_owner_.push_back(w);
+      saturated_.push_back(0);
+      announced_.resize(announced_.size() + words_, 0);
+      row_index_[h] = static_cast<std::uint32_t>(row_owner_.size());
+      return static_cast<std::uint32_t>(row_owner_.size() - 1);
+    }
+    if (row_owner_[e - 1] == w) return e - 1;
+  }
+}
+
+void MultiSourceNode::bind_rows(std::span<const NodeId> neighbors,
+                                std::span<const NodeId> prev) {
+  rebound_.resize(neighbors.size());
+  std::size_t j = 0;
+  for (std::size_t slot = 0; slot < neighbors.size(); ++slot) {
+    const NodeId w = neighbors[slot];
+    while (j < prev.size() && prev[j] < w) ++j;
+    rebound_[slot] = j < prev.size() && prev[j] == w ? slot_rows_[j] : row_of(w);
+  }
+  slot_rows_.swap(rebound_);
 }
 
 void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& out) {
+  // Rows are bound from the first round with I_v ≠ ∅ on (I_v only grows):
+  // before it no edge is owed an announcement, and a neighbor met only
+  // then needs no row.
+  if (!rows_bound_) {
+    rows_bound_ = std::ranges::any_of(complete_bits_,
+                                      [](std::uint64_t word) { return word != 0; });
+    if (rows_bound_) bind_rows(neighbors, {});
+  } else if (!std::ranges::equal(neighbors, classifier_.neighbors())) {
+    bind_rows(neighbors, classifier_.neighbors());
+  }
   classifier_.begin_round(r, neighbors);
-  const std::size_t s = per_source_.size();
 
   // Task 1 — completeness announcements: per edge, the minimum complete
-  // source this neighbor has not yet been informed about.
-  for (const NodeId w : neighbors) {
-    for (std::size_t x = 0; x < s; ++x) {
-      if (!per_source_[x].complete || per_source_[x].informed.test(w)) continue;
-      out.send(w, Message::completeness(cfg_.space->source_node(x),
-                                        cfg_.space->count_of(x)));
-      per_source_[x].informed.set(w);
-      break;  // one announcement per edge per round
+  // source this neighbor has not yet been informed about: the first set
+  // bit of I_v minus the neighbor's row.  A saturated neighbor costs one
+  // test.  (slot_rows_ is empty until rows are bound.)
+  for (std::size_t slot = 0; slot < slot_rows_.size(); ++slot) {
+    const std::uint32_t row = slot_rows_[slot];
+    if (saturated_[row] != 0) continue;
+    std::uint64_t* const told = &announced_[std::size_t{row} * words_];
+    std::size_t i = 0;
+    while (i < words_ && (complete_bits_[i] & ~told[i]) == 0) ++i;
+    if (i < words_) {
+      const std::uint64_t owed = complete_bits_[i] & ~told[i];
+      const std::size_t x = i * 64 + static_cast<std::size_t>(std::countr_zero(owed));
+      out.send(neighbors[slot], Message::completeness(cfg_.space->source_node(x),
+                                                      cfg_.space->count_of(x)));
+      told[i] |= owed & (~owed + 1);  // one announcement per edge per round
+      if ((owed & (owed - 1)) != 0) continue;  // more owed in this word
+      ++i;
+      while (i < words_ && (complete_bits_[i] & ~told[i]) == 0) ++i;
+      if (i < words_) continue;
     }
+    saturated_[row] = 1;
   }
 
   // Task 2 — answer last round's requests over surviving edges.
@@ -63,11 +133,12 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
   pending_answers_.clear();
 
   // Task 3 — requests for the minimum incomplete source with a known
-  // complete neighbor, exactly as in Algorithm 1.
+  // complete neighbor (the first requestable bit), exactly as in
+  // Algorithm 1.
   std::size_t target = kNotASource;
-  for (std::size_t x = 0; x < s; ++x) {
-    if (!per_source_[x].complete && per_source_[x].announcers.count() > 0) {
-      target = x;
+  for (std::size_t i = 0; i < words_; ++i) {
+    if (requestable_bits_[i] != 0) {
+      target = i * 64 + static_cast<std::size_t>(std::countr_zero(requestable_bits_[i]));
       break;
     }
   }
@@ -85,12 +156,17 @@ void MultiSourceNode::send(Round r, std::span<const NodeId> neighbors, Outbox& o
 
   next_requests_.clear();
   if (target != kNotASource) {
-    const PerSource& ps = per_source_[target];
+    PerSource& ps = per_source_[target];
     // Lazy missing-token selection over the target source's token list (the
-    // analogue of Algorithm 1's b_1 < b_2 < ... walk): tokens are consumed
-    // only as requests are assigned, O(deg) steps per round amortized.
+    // analogue of Algorithm 1's b_1 < b_2 < ... walk).  The walk starts at
+    // the held-prefix cursor, which only moves forward (tokens are never
+    // forgotten), so it skips at most the in-flight tokens and the held
+    // tokens past the first gap; tokens are consumed only as requests are
+    // assigned.
     const std::span<const TokenId> pool = cfg_.space->tokens_of(target);
-    std::size_t pos = 0;
+    std::size_t pos = ps.first_missing;
+    while (pos < pool.size() && tokens_.test(pool[pos])) ++pos;
+    ps.first_missing = static_cast<std::uint32_t>(pos);
     const auto next_missing = [&]() -> TokenId {
       while (pos < pool.size() &&
              (tokens_.test(pool[pos]) || in_flight_.test(pool[pos]))) {
@@ -138,8 +214,8 @@ void MultiSourceNode::on_receive(Round /*r*/, NodeId from, const Message& m) {
       const std::size_t x = cfg_.space->index_of_node(m.source);
       DG_CHECK(x != kNotASource);
       DG_CHECK(m.aux == cfg_.space->count_of(x));
-      per_source_[x].known = true;
       per_source_[x].announcers.set(from);
+      if (!complete_wrt(x)) requestable_bits_[x >> 6] |= bit_of(x);
       break;
     }
     case MsgType::kRequest: {

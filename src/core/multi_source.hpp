@@ -15,8 +15,15 @@
 //
 // Message complexity (Theorem 3.5): 1-adversary-competitive O(n²s + nk).
 // Time (Theorem 3.6): O(nk) rounds on 3-edge-stable graphs.
+//
+// Tasks 1 and 3 keep word-parallel bookkeeping (R_v transposed into one
+// source row per met neighbor, I_v and the requestable sources as source
+// bitsets, a held-prefix cursor per source), so a node-round costs
+// O(deg + s/64) words plus O(1) per message sent; see docs/ARCHITECTURE.md,
+// "Multi-source send bookkeeping".
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -45,9 +52,9 @@ class MultiSourceNode final : public UnicastAlgorithm {
   void send(Round r, std::span<const NodeId> neighbors, Outbox& out) override;
   void on_receive(Round r, NodeId from, const Message& m) override;
 
-  /// True iff v holds every token of source index x.
+  /// True iff v holds every token of source index x (x ∈ I_v).
   [[nodiscard]] bool complete_wrt(std::size_t x) const {
-    return per_source_[x].held == cfg_.space->count_of(x);
+    return ((complete_bits_[x >> 6] >> (x & 63)) & 1u) != 0;
   }
 
   /// True iff v holds all k tokens.
@@ -72,22 +79,41 @@ class MultiSourceNode final : public UnicastAlgorithm {
       const MultiSourceConfig& cfg, const std::vector<KnowledgeSet>& initial);
 
  private:
-  /// Lazily materialized per-source protocol state.
+  /// Per-source protocol state.
   struct PerSource {
-    bool known = false;         ///< source discovered (self, or announcement)
-    bool complete = false;      ///< x ∈ I_v
-    std::uint32_t held = 0;     ///< tokens of x currently held
-    KnowledgeSet informed;     ///< R_v(x) — I announced my completeness to...
-    KnowledgeSet announcers;   ///< S_v(x) — announced their completeness to me
+    std::uint32_t held = 0;           ///< tokens of x currently held
+    std::uint32_t first_missing = 0;  ///< tokens_of(x)[0, first_missing) are held
+    KnowledgeSet announcers;          ///< S_v(x) — announced their completeness to me
   };
 
   /// Marks token t held; updates per-source counters and completeness.
   void account_token(TokenId t);
 
-  NodeId self_;
+  /// Row of neighbor w in announced_, appending an empty row the first
+  /// time w is met.
+  std::uint32_t row_of(NodeId w);
+
+  /// Points slot_rows_ at this round's neighbors, reusing the rows of
+  /// `prev` (the neighbor list slot_rows_ covers now).
+  void bind_rows(std::span<const NodeId> neighbors, std::span<const NodeId> prev);
+
   MultiSourceConfig cfg_;
   KnowledgeSet tokens_;
   std::vector<PerSource> per_source_;  ///< indexed by source index
+  std::size_t words_;                  ///< ⌈s/64⌉, the length of a source row
+  std::vector<std::uint64_t> complete_bits_;     ///< I_v as a source bitset
+  std::vector<std::uint64_t> requestable_bits_;  ///< x ∉ I_v with S_v(x) ≠ ∅
+  // R_v transposed: one row of words_ words per neighbor met since I_v
+  // became nonempty, bit x set iff v announced its completeness w.r.t. x
+  // to that neighbor.  Rows only grow.  saturated_[row] != 0 promises the
+  // row covers I_v (nothing is owed); every completion clears it.
+  std::vector<std::uint64_t> announced_;
+  std::vector<std::uint8_t> saturated_;
+  std::vector<NodeId> row_owner_;         ///< the neighbor of each row
+  std::vector<std::uint32_t> row_index_;  ///< open addressing: row + 1, 0 = empty
+  std::vector<std::uint32_t> slot_rows_;  ///< row of each current neighbor slot
+  std::vector<std::uint32_t> rebound_;    ///< bind_rows scratch
+  bool rows_bound_ = false;               ///< slot_rows_ covers the classifier's list
   EdgeClassifier classifier_;
   RequestList sent_requests_;          ///< sorted by neighbor id
   std::vector<std::pair<NodeId, TokenId>> pending_answers_;

@@ -32,7 +32,7 @@ TokenSpace::TokenSpace(std::uint32_t k,
     : k_(k) {
   std::sort(sources.begin(), sources.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  owner_of_.assign(k_, static_cast<std::uint32_t>(kNotASource & 0xffffffffu));
+  owner_of_.assign(k_, kNoIndex);
   std::uint32_t assigned = 0;
   for (std::size_t i = 0; i < sources.size(); ++i) {
     auto& [node, ids] = sources[i];
@@ -42,7 +42,7 @@ TokenSpace::TokenSpace(std::uint32_t k,
     std::sort(ids.begin(), ids.end());
     for (const TokenId t : ids) {
       DG_CHECK(t < k_);
-      DG_CHECK(owner_of_[t] == static_cast<std::uint32_t>(kNotASource & 0xffffffffu));
+      DG_CHECK(owner_of_[t] == kNoIndex);
       owner_of_[t] = static_cast<std::uint32_t>(i);
       ++assigned;
     }
@@ -50,6 +50,12 @@ TokenSpace::TokenSpace(std::uint32_t k,
     tokens_.push_back(std::move(ids));
   }
   DG_CHECK(assigned == k_);  // the lists partition 0..k-1
+  if (!nodes_.empty()) {
+    index_of_.assign(std::size_t{nodes_.back()} + 1, kNoIndex);
+    for (std::size_t i = 0; i < nodes_.size(); ++i) {
+      index_of_[nodes_[i]] = static_cast<std::uint32_t>(i);
+    }
+  }
 }
 
 NodeId TokenSpace::source_node(std::size_t i) const {
@@ -70,12 +76,6 @@ std::uint32_t TokenSpace::count_of(std::size_t i) const {
 std::size_t TokenSpace::source_of_token(TokenId t) const {
   DG_CHECK(t < k_);
   return owner_of_[t];
-}
-
-std::size_t TokenSpace::index_of_node(NodeId node) const {
-  const auto it = std::lower_bound(nodes_.begin(), nodes_.end(), node);
-  if (it == nodes_.end() || *it != node) return kNotASource;
-  return static_cast<std::size_t>(it - nodes_.begin());
 }
 
 std::vector<KnowledgeSet> TokenSpace::initial_knowledge(std::size_t n) const {

@@ -66,17 +66,23 @@ class TokenSpace {
   /// Index of the source that originated token t.
   [[nodiscard]] std::size_t source_of_token(TokenId t) const;
 
-  /// Source index of a node, or kNotASource.
-  [[nodiscard]] std::size_t index_of_node(NodeId node) const;
+  /// Source index of a node, or kNotASource (O(1): one table load).
+  [[nodiscard]] std::size_t index_of_node(NodeId node) const noexcept {
+    if (node >= index_of_.size() || index_of_[node] == kNoIndex) return kNotASource;
+    return index_of_[node];
+  }
 
   /// K_v(0): each source starts with exactly its own tokens.
   [[nodiscard]] std::vector<KnowledgeSet> initial_knowledge(std::size_t n) const;
 
  private:
+  static constexpr std::uint32_t kNoIndex = 0xffffffffu;
+
   std::uint32_t k_ = 0;
   std::vector<NodeId> nodes_;                 // ascending
   std::vector<std::vector<TokenId>> tokens_;  // parallel to nodes_
   std::vector<std::uint32_t> owner_of_;       // token -> source index
+  std::vector<std::uint32_t> index_of_;       // node -> source index (to the last source)
 };
 
 /// Shared immutable handle used by per-node algorithm instances.

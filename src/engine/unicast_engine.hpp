@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "adversary/adversary.hpp"
+#include "common/check.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
 #include "engine/message.hpp"
@@ -53,6 +54,13 @@ class Outbox {
 
   /// Queues one payload to a current neighbor.
   void send(NodeId to, const Message& m) { sink_->push_back({from_, to, m}); }
+
+  /// The records queued on a default-constructed outbox (lets a test or a
+  /// wrapping node inspect what a node sent).
+  [[nodiscard]] std::span<const SentRecord> queued() const {
+    DG_DCHECK(sink_ == &owned_);
+    return owned_;
+  }
 
  private:
   friend class UnicastEngine;

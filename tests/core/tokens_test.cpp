@@ -1,6 +1,9 @@
 // Tests for the token-space labelling.
 #include "core/tokens.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace dyngossip {
@@ -43,6 +46,33 @@ TEST(TokenSpace, ExplicitListsPartition) {
   EXPECT_EQ(space.source_of_token(0), 1u);
   const std::vector<TokenId> want{1, 3};
   EXPECT_EQ(space.tokens_of(0), want);
+}
+
+TEST(TokenSpace, IndexOfNodeCoversEveryNodeId) {
+  // Sources at 2, 5, 6 and 40 (explicit lists, supplied out of order).
+  const TokenSpace space(6, {{40, {5}}, {5, {1, 2}}, {2, {0}}, {6, {3, 4}}});
+  const std::vector<NodeId> sources{2, 5, 6, 40};
+  for (NodeId v = 0; v < 200; ++v) {
+    const auto it = std::find(sources.begin(), sources.end(), v);
+    const std::size_t want = it == sources.end()
+                                 ? kNotASource
+                                 : static_cast<std::size_t>(it - sources.begin());
+    EXPECT_EQ(space.index_of_node(v), want) << "node " << v;
+  }
+  // Ids past the last source, up to the largest representable one.
+  EXPECT_EQ(space.index_of_node(41), kNotASource);
+  EXPECT_EQ(space.index_of_node(kNoNode - 1), kNotASource);
+  EXPECT_EQ(space.index_of_node(kNoNode), kNotASource);
+  // The node of each source maps back to its index.
+  for (std::size_t i = 0; i < space.num_sources(); ++i) {
+    EXPECT_EQ(space.index_of_node(space.source_node(i)), i);
+  }
+}
+
+TEST(TokenSpace, IndexOfNodeOnSourceAtZero) {
+  const TokenSpace space = TokenSpace::single_source(0, 3);
+  EXPECT_EQ(space.index_of_node(0), 0u);
+  for (NodeId v = 1; v < 10; ++v) EXPECT_EQ(space.index_of_node(v), kNotASource);
 }
 
 TEST(TokenSpace, InitialKnowledge) {
