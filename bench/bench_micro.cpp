@@ -16,9 +16,17 @@
 //     n up to 10⁵ serial vs sharded across a worker pool (the sharded case
 //     only wins on multi-core hosts; on one core it measures fork/join
 //     overhead, which is the other number worth tracking).
-//   BM_ChurnRound, BM_TrackerAdvance, BM_ComponentsCsr — the three O(m)
-//     passes of a churn round: the adversary step, the engine's topology
-//     diff, and its connectivity BFS.
+//   BM_ChurnRound, BM_TrackerAdvance, BM_ComponentsCsr — the adversary
+//     step, the full-path topology diff, and the connectivity BFS of a
+//     churn round.  The BFS is the one O(n + m) walk every round still
+//     pays; the snapshot and the diff are O(n + m) only on the full path.
+//   BM_IngestDelta vs BM_IngestRebuild — the engine's snapshot + tracker
+//     ingest of one churn round from the committed graph's net delta (a
+//     bucket and locate pass, then one segment-copy pass each over the CSR
+//     targets and the insertion rounds) vs the full path (scatter rebuild
+//     + block-by-block diff), at the perfbench frontier shape (n = 512,
+//     8n edges) and async_trace shape (n = 2048, 4n edges), n/8 cuts per
+//     round each.
 //   BM_SyncRoundTrial vs BM_AsyncEventLoopTrial — one full single-source
 //     trial through the synchronous round engine vs the continuous-time
 //     event loop at matched n, pricing the two engine planes side by side.
@@ -169,6 +177,76 @@ void BM_TrackerAdvance(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TrackerAdvance)->Arg(512)->Arg(4096);
+
+/// The first `rounds` graphs of a churn schedule (`degree`·n edges, n/8
+/// cuts per round), as committed by the adversary: each copy keeps its
+/// revision and its net delta from the round before.
+std::vector<Graph> churn_rounds(std::size_t n, std::size_t degree, Round rounds) {
+  ChurnConfig cc;
+  cc.n = n;
+  cc.target_edges = degree * n;
+  cc.churn_per_round = n / 8;
+  cc.seed = 5;
+  ChurnAdversary adversary(cc);
+  std::vector<Graph> out;
+  UnicastRoundView view;
+  for (Round r = 1; r <= rounds; ++r) {
+    view.round = r;
+    out.push_back(adversary.unicast_round(view));
+  }
+  return out;
+}
+
+/// Shared loop of the two ingest benches: brings a snapshot and a tracker
+/// through rounds 2..64 of `graphs`, restarting on a fresh pair primed with
+/// round 1 (untimed) after the last round.
+void run_ingest_bench(benchmark::State& state, const std::vector<Graph>& graphs) {
+  const auto n = graphs.front().num_nodes();
+  RoundGraphView view;
+  auto tracker = std::make_unique<DynamicGraphTracker>(n);
+  const auto prime = [&] {
+    view = RoundGraphView(graphs[0]);
+    tracker = std::make_unique<DynamicGraphTracker>(n);
+    tracker->advance(view, 1);
+  };
+  prime();
+  Round r = 1;
+  for (auto _ : state) {
+    if (r == graphs.size()) {
+      state.PauseTiming();
+      prime();
+      r = 1;
+      state.ResumeTiming();
+    }
+    view.rebuild(graphs[r]);
+    benchmark::DoNotOptimize(tracker->advance(view, r + 1).inserted.size());
+    ++r;
+  }
+}
+
+constexpr Round kIngestRounds = 64;
+
+/// The committed graphs: every rebuild patches by the delta.
+void BM_IngestDelta(benchmark::State& state) {
+  const std::vector<Graph> graphs =
+      churn_rounds(static_cast<std::size_t>(state.range(0)),
+                   static_cast<std::size_t>(state.range(1)), kIngestRounds);
+  run_ingest_bench(state, graphs);
+}
+BENCHMARK(BM_IngestDelta)->Args({512, 8})->Args({2048, 4});
+
+/// The same edge sets rebuilt edge by edge into uncommitted graphs: every
+/// rebuild is the full scatter, every advance the block diff.
+void BM_IngestRebuild(benchmark::State& state) {
+  std::vector<Graph> graphs;
+  for (const Graph& g : churn_rounds(static_cast<std::size_t>(state.range(0)),
+                                     static_cast<std::size_t>(state.range(1)),
+                                     kIngestRounds)) {
+    graphs.emplace_back(g.num_nodes(), g.edges());
+  }
+  run_ingest_bench(state, graphs);
+}
+BENCHMARK(BM_IngestRebuild)->Args({512, 8})->Args({2048, 4});
 
 /// The engines' per-round connectivity check: one BFS labelling of a CSR
 /// snapshot.  It cycles through 64 churn rounds, because a walk repeated

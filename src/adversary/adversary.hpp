@@ -16,6 +16,13 @@
 // a connected graph on the engine's node set (the model's standing
 // connectivity assumption); the engines verify this every round and report
 // a violation through on_disconnected.
+//
+// An incremental adversary that mutates one working Graph in place commits
+// it at the end of every round (Graph::commit); the engines then patch
+// their snapshot by the graph's net delta instead of rebuilding it.  Not
+// committing is always correct, only slower.  A decorator may return the
+// inner adversary's graph or a copy of it (a copy keeps the revision); one
+// that alters the graph leaves it uncommitted, or commits it itself.
 #pragma once
 
 #include <memory>

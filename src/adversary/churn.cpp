@@ -93,6 +93,7 @@ const Graph& ChurnAdversary::next_graph(Round r) {
 
   if (r == 1) {
     current_ = random_connected_with_edges(cfg_.n, cfg_.target_edges, rng_);
+    current_.commit();
     reset_ages(1);
     return current_;
   }
@@ -129,6 +130,7 @@ const Graph& ChurnAdversary::next_graph(Round r) {
 
   // 4. Fold the cuts and this round's insertions into the sorted age list.
   if (!cut.empty() || !pending_.empty()) fold_ages(cut, r);
+  current_.commit();
   return current_;
 }
 

@@ -21,6 +21,7 @@ const Graph& RequestCutterAdversary::unicast_round(const UnicastRoundView& view)
 
   if (view.round == 1) {
     current_ = random_connected_with_edges(cfg_.n, cfg_.target_edges, rng_);
+    current_.commit();
     return current_;
   }
 
@@ -75,6 +76,7 @@ const Graph& RequestCutterAdversary::unicast_round(const UnicastRoundView& view)
       }
     }
   }
+  current_.commit();
   return current_;
 }
 

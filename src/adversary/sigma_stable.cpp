@@ -61,9 +61,11 @@ const Graph& SigmaStableChurnAdversary::next_graph(Round r) {
   last_round_ = r;
   if (r == 1) {
     current_ = random_connected_with_edges(cfg_.n, cfg_.target_edges, rng_);
+    current_.commit();
     return current_;
   }
   if ((r - 1) % cfg_.sigma == 0) rewire();
+  current_.commit();
   return current_;
 }
 

@@ -31,6 +31,7 @@ AsyncEngine::AsyncEngine(Adversary& adversary,
       push_pull_(opts.push_pull),
       seed_(opts.seed),
       tracker_(adversary.num_nodes()),
+      ingest_(tracker_),
       control_(opts, kEventCadence, knowledge_, k, complete_nodes_, metrics_),
       queue_(knowledge_.size(), opts.rate) {
   const std::size_t n = knowledge_.size();
@@ -63,11 +64,9 @@ void AsyncEngine::advance_rounds(Round target) {
     // node), so sync and async trials share crash realizations).
     control_.begin_round(r);
     const Graph& g = clocked_.next_round(knowledge_);
-    view_.rebuild(g);
-    const std::size_t components = connectivity_.components(view_).count;
-    if (components > 1) clocked_.on_disconnected(r, components);
-    DG_CHECK(components <= 1);
-    const GraphDiff& diff = tracker_.advance(view_, r);
+    const GraphDiff& diff = ingest_.ingest(g, r, [this](Round rr, std::size_t c) {
+      clocked_.on_disconnected(rr, c);
+    });
     metrics_.tc += diff.inserted.size();
     metrics_.deletions += diff.removed.size();
     control_.round_graph(g.num_edges());
@@ -127,7 +126,7 @@ void AsyncEngine::deliver_leg(NodeId to, TokenId tok, std::uint32_t leg,
 void AsyncEngine::process(const ActivationEvent& ev) {
   const NodeId v = ev.node;
   if (control_.down(v)) return;  // crashed: silent clock
-  const std::span<const NodeId> neigh = view_.neighbors(v);
+  const std::span<const NodeId> neigh = ingest_.view().neighbors(v);
   if (neigh.empty()) return;  // isolated in this window
   const std::uint64_t pick = position_hash(seed_, kNeighborSalt, ev.seq);
   const NodeId w = neigh[static_cast<std::size_t>(pick % neigh.size())];

@@ -42,8 +42,8 @@
 #include "async/poisson_clock.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
+#include "graph/round_ingest.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "sim/run_control.hpp"
@@ -138,6 +138,7 @@ class AsyncEngine {
   bool push_pull_;
   std::uint64_t seed_;
   DynamicGraphTracker tracker_;
+  RoundIngest ingest_;  ///< live graph's CSR snapshot, BFS check, tracker
   RunMetrics metrics_;
   RunControl control_;
   Round round_ = 0;
@@ -145,10 +146,6 @@ class AsyncEngine {
   EventQueue queue_;
   std::uint64_t seq_ = 0;                     ///< monotone event push counter
   std::vector<std::uint64_t> next_gap_index_; ///< per-node next clock gap
-
-  // Per-window scratch, reused across windows.
-  RoundGraphView view_;                  ///< CSR snapshot of the live graph
-  ConnectivityChecker connectivity_;
 
   // Timeline bookkeeping (touched only with a timeline attached):
   // start of the current window's event batch.

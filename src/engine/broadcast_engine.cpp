@@ -4,7 +4,6 @@
 
 #include "common/check.hpp"
 #include "fault/fault_plan.hpp"
-#include "graph/connectivity.hpp"
 #include "sim/runner/parallel.hpp"
 #include "sim/runner/thread_pool.hpp"
 #include "telemetry/timeline.hpp"
@@ -20,6 +19,7 @@ BroadcastEngine::BroadcastEngine(
       knowledge_(std::move(initial_knowledge)),
       k_(k),
       tracker_(nodes_.size()),
+      ingest_(tracker_),
       control_(opts, kRoundCadence, knowledge_, k, complete_nodes_, metrics_),
       log_(opts.record_learning_events),
       min_parallel_nodes_(opts.min_parallel_nodes) {
@@ -92,11 +92,9 @@ Round BroadcastEngine::step() {
   view.knowledge = &knowledge_;
   const Graph& g = adversary_.broadcast_round(view);
   DG_CHECK(g.num_nodes() == n);
-  view_.rebuild(g);
-  const std::size_t components = connectivity_.components(view_).count;
-  if (components > 1) adversary_.on_disconnected(r, components);
-  DG_CHECK(components <= 1);
-  const GraphDiff& diff = tracker_.advance(view_, r);
+  const GraphDiff& diff = ingest_.ingest(g, r, [this](Round rr, std::size_t c) {
+    adversary_.on_disconnected(rr, c);
+  });
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
 
@@ -116,7 +114,7 @@ Round BroadcastEngine::step() {
     inbox.clear();
     if (control_.down(v)) {  // crashed: deaf
       if (probe_counting) {
-        for (const NodeId u : view_.neighbors(v)) {
+        for (const NodeId u : ingest_.view().neighbors(v)) {
           if (intents_[u] != kNoToken) ++dropped;
         }
       }
@@ -124,12 +122,12 @@ Round BroadcastEngine::step() {
     }
     const bool delivery_faults =
         control_.fault_active() && control_.faults()->has_delivery_faults();
-    for (const NodeId u : view_.neighbors(v)) {
+    for (const NodeId u : ingest_.view().neighbors(v)) {
       const TokenId t = intents_[u];
       if (t == kNoToken) continue;
       if (delivery_faults) {
         const FaultPlan::Fate fate =
-            control_.faults()->delivery_fate(r, view_.arc_index(u, v), 0);
+            control_.faults()->delivery_fate(r, ingest_.view().arc_index(u, v), 0);
         if (fate == FaultPlan::Fate::kDrop) {
           if (probe_counting) ++dropped;
           continue;

@@ -23,8 +23,8 @@
 #include "adversary/adversary.hpp"
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
+#include "graph/round_ingest.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
@@ -131,6 +131,7 @@ class BroadcastEngine {
   std::size_t k_;
   std::size_t complete_nodes_ = 0;
   DynamicGraphTracker tracker_;
+  RoundIngest ingest_;                 // G_r's CSR snapshot, BFS check, tracker
   RunMetrics metrics_;
   RunControl control_;
   LearningLog log_;
@@ -140,8 +141,6 @@ class BroadcastEngine {
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries
   std::vector<Shard> shards_;          // scratch: sharded-path counters
-  RoundGraphView view_;                // scratch: CSR snapshot of G_r
-  ConnectivityChecker connectivity_;   // scratch: BFS buffers for the G_r check
 };
 
 }  // namespace dyngossip

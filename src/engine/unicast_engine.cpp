@@ -18,6 +18,11 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
       adversary_(adversary),
       knowledge_(std::move(initial_knowledge)),
       k_(k),
+      owned_tracker_(opts.tracker != nullptr
+                         ? nullptr
+                         : std::make_unique<DynamicGraphTracker>(nodes_.size())),
+      tracker_(opts.tracker != nullptr ? opts.tracker : owned_tracker_.get()),
+      ingest_(*tracker_),
       control_(opts, kRoundCadence, knowledge_, k, complete_nodes_, metrics_),
       log_(opts.record_learning_events),
       start_offset_(opts.start_round - 1),
@@ -32,13 +37,10 @@ UnicastEngine::UnicastEngine(std::vector<std::unique_ptr<UnicastAlgorithm>> node
   DG_CHECK(adversary_.num_nodes() == nodes_.size());
   DG_CHECK(opts.start_round >= 1);
   if (opts.tracker != nullptr) {
-    tracker_ = opts.tracker;
     DG_CHECK(tracker_->num_nodes() == nodes_.size());
     DG_CHECK(tracker_->rounds() == round_);
   } else {
     DG_CHECK(opts.start_round == 1);
-    owned_tracker_ = std::make_unique<DynamicGraphTracker>(nodes_.size());
-    tracker_ = owned_tracker_.get();
   }
 }
 
@@ -49,7 +51,7 @@ void UnicastEngine::validate_sent(NodeId v, std::vector<SentRecord>& sink,
   for (std::size_t i = mark; i < sink.size(); ++i) {
     const SentRecord& rec = sink[i];
     DG_CHECK(rec.to < n && rec.to != v);
-    const std::size_t arc = view_.arc_index(v, rec.to);
+    const std::size_t arc = ingest_.view().arc_index(v, rec.to);
     DG_CHECK(arc != kNoArc);  // may only address current neighbors
     // Token-forwarding: only held tokens may be shipped.
     if (rec.msg.type == MsgType::kToken) {
@@ -93,7 +95,7 @@ void UnicastEngine::wake_from_diff(const GraphDiff& diff) {
 
 void UnicastEngine::send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
                               MessageCounts& counts) {
-  const std::span<const NodeId> neigh = view_.neighbors(v);
+  const std::span<const NodeId> neigh = ingest_.view().neighbors(v);
   if (dirty_[v] != 0) {
     nodes_[v]->resume(r, neigh, *tracker_);
     dirty_[v] = 0;
@@ -203,18 +205,17 @@ Round UnicastEngine::step() {
 
   // 1. Adversary fixes G_r with full visibility of state and history.  The
   // returned reference is adversary-owned and stays valid through the round;
-  // the engine snapshots it into the reusable CSR view.
+  // the ingest patches its CSR snapshot from the adversary's net delta, or
+  // rebuilds it, then checks connectivity and advances the tracker.
   UnicastRoundView view;
   view.round = r;
   view.prev_messages = &prev_messages_;
   view.knowledge = &knowledge_;
   const Graph& g = adversary_.unicast_round(view);
   DG_CHECK(g.num_nodes() == n);
-  view_.rebuild(g);
-  const std::size_t components = connectivity_.components(view_).count;
-  if (components > 1) adversary_.on_disconnected(r, components);
-  DG_CHECK(components <= 1);
-  const GraphDiff& diff = tracker_->advance(view_, r);
+  const GraphDiff& diff = ingest_.ingest(g, r, [this](Round rr, std::size_t c) {
+    adversary_.on_disconnected(rr, c);
+  });
   metrics_.tc += diff.inserted.size();
   metrics_.deletions += diff.removed.size();
   // Parked nodes: the diff wakes them (an edge their wakes_on accepts) and
@@ -229,7 +230,7 @@ Round UnicastEngine::step() {
   // outboxes, merged in node order.
   {
     const TimelineSpan span(control_.timeline(), "send_phase", "phase");
-    arc_budget_.assign(view_.num_arcs(), 0);
+    arc_budget_.assign(ingest_.view().num_arcs(), 0);
     if (shards > 1) {
       send_phase_sharded(r, shards);
     } else {
@@ -249,7 +250,7 @@ Round UnicastEngine::step() {
   if (control_.fault_active()) {
     fate_.assign(traffic_.size(), 0);
     const bool delivery_faults = control_.faults()->has_delivery_faults();
-    if (delivery_faults) arc_seq_.assign(view_.num_arcs(), 0);
+    if (delivery_faults) arc_seq_.assign(ingest_.view().num_arcs(), 0);
     for (std::size_t i = 0; i < traffic_.size(); ++i) {
       const SentRecord& rec = traffic_[i];
       if (control_.down(rec.to)) {
@@ -257,7 +258,7 @@ Round UnicastEngine::step() {
         continue;
       }
       if (!delivery_faults) continue;
-      const std::size_t arc = view_.arc_index(rec.from, rec.to);
+      const std::size_t arc = ingest_.view().arc_index(rec.from, rec.to);
       fate_[i] = static_cast<std::uint8_t>(
           control_.faults()->delivery_fate(r, arc, arc_seq_[arc]++));
     }

@@ -28,8 +28,8 @@
 #include "common/knowledge_set.hpp"
 #include "common/types.hpp"
 #include "engine/message.hpp"
-#include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
+#include "graph/round_ingest.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/accounting.hpp"
 #include "metrics/learning_log.hpp"
@@ -236,6 +236,7 @@ class UnicastEngine {
   std::size_t complete_nodes_ = 0;
   std::unique_ptr<DynamicGraphTracker> owned_tracker_;
   DynamicGraphTracker* tracker_;
+  RoundIngest ingest_;  ///< G_r's CSR snapshot, connectivity check, tracker
   RunMetrics metrics_;
   RunControl control_;
   LearningLog log_;
@@ -253,8 +254,6 @@ class UnicastEngine {
   std::vector<std::uint8_t> asleep_;
   std::vector<std::uint8_t> dirty_;
   // Per-round scratch, reused across rounds (see step()).
-  RoundGraphView view_;                   ///< CSR snapshot of G_r
-  ConnectivityChecker connectivity_;      ///< BFS buffers for the G_r check
   std::vector<SentRecord> traffic_;       ///< round-r records (swapped into prev)
   std::vector<std::uint32_t> arc_budget_; ///< payload counts per directed arc
   // Fault-path scratch (touched only when fault_active()), reused across

@@ -21,22 +21,32 @@ const GraphDiff& DynamicGraphTracker::advance(const RoundGraphView& view, Round 
   DG_CHECK(view.num_nodes() == n_);
   DG_CHECK(r == last_round_ + 1);
   last_round_ = r;
-
   diff_.inserted.clear();
   diff_.removed.clear();
-  next_.offsets.resize(n_ + 1);
+  if (revision_ != 0 && view.patched_from() == revision_) {
+    advance_delta(view, r);
+  } else {
+    advance_blocks(view, r);
+  }
+  revision_ = view.revision();
+  return diff_;
+}
+
+void DynamicGraphTracker::begin_advance(const RoundGraphView& view) {
+  next_.offsets.assign(view.arc_offsets().begin(), view.arc_offsets().end());
   next_.targets.assign(view.arc_targets().begin(), view.arc_targets().end());
   next_.inserted.resize(view.num_arcs());
+}
 
+void DynamicGraphTracker::advance_blocks(const RoundGraphView& view, Round r) {
+  begin_advance(view);
   for (NodeId u = 0; u < n_; ++u) {
     const std::span<const NodeId> now = view.neighbors(u);
     const std::size_t old_begin = live_.offsets[u];
     const std::size_t old_len = live_.offsets[u + 1] - old_begin;
     const NodeId* old_targets = live_.targets.data() + old_begin;
     const Round* old_rounds = live_.inserted.data() + old_begin;
-    const std::size_t begin = next_.offsets[u];
-    next_.offsets[u + 1] = begin + now.size();
-    Round* rounds = next_.inserted.data() + begin;
+    Round* rounds = next_.inserted.data() + next_.offsets[u];
 
     // An unchanged block keeps every insertion round.
     if (now.size() == old_len && std::equal(now.begin(), now.end(), old_targets)) {
@@ -72,7 +82,36 @@ const GraphDiff& DynamicGraphTracker::advance(const RoundGraphView& view, Round 
     }
   }
   std::swap(live_, next_);
-  return diff_;
+}
+
+void DynamicGraphTracker::advance_delta(const RoundGraphView& view, Round r) {
+  if (view.patched_from() == view.revision()) return;  // unchanged graph
+  const DeltaBuckets& changes = view.changes();
+  const RoundDelta& delta = changes.delta();
+  DG_CHECK(changes.base_arcs() == live_.targets.size());
+  begin_advance(view);
+  diff_.inserted.assign(delta.inserted.begin(), delta.inserted.end());
+  diff_.removed.assign(delta.removed.begin(), delta.removed.end());
+  tc_ += delta.inserted.size();
+  deletions_ += delta.removed.size();
+  // The snapshot's patch pass, applied to the insertion rounds: copy the
+  // rounds up to each change, stamp an inserted arc with r, and close a
+  // removed arc's lifetime (both of its arcs carry the same round).
+  const Round* const old = live_.inserted.data();
+  Round* out = next_.inserted.data();
+  std::size_t from = 0;
+  for (const DeltaBuckets::Change& c : changes.all()) {
+    out = std::copy(old + from, old + c.old_arc, out);
+    if (c.inserted != 0) {
+      *out++ = r;
+      from = c.old_arc;
+    } else {
+      min_lifetime_ = std::min(min_lifetime_, r - old[c.old_arc]);  // [inserted, r-1]
+      from = c.old_arc + 1;
+    }
+  }
+  std::copy(old + from, old + live_.inserted.size(), out);
+  std::swap(live_, next_);
 }
 
 Round DynamicGraphTracker::insertion_round(EdgeKey key) const {

@@ -15,8 +15,16 @@
 // edge {u, w} from u's side only (u < w), so E+ and E- come out in canonical
 // EdgeKey order.  No hashing and no steady-state allocation on the engine
 // hot path.
+//
+// When the snapshot was patched forward from the revision this tracker
+// holds (RoundGraphView::patched_from), advance skips the compare: the
+// snapshot's net delta (graph/round_delta.hpp) becomes the diff as it is,
+// and the insertion rounds are patched in one forward pass of segment
+// copies between the located changes.  An unchanged revision costs
+// nothing.
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
 #include "common/types.hpp"
@@ -46,6 +54,8 @@ class DynamicGraphTracker {
 
   /// Engine-path variant: ingests round r's CSR snapshot and returns a
   /// reference to an internally reused diff (valid until the next advance).
+  /// Takes the snapshot's delta when the view was patched forward from the
+  /// revision this tracker last ingested, else diffs block by block.
   const GraphDiff& advance(const RoundGraphView& view, Round r);
 
   /// Σ_r |E+_r| so far — the adversary's topological-change budget TC(E).
@@ -80,6 +90,16 @@ class DynamicGraphTracker {
     std::vector<Round> inserted;       ///< insertion round per arc
   };
 
+  /// The block-by-block diff against live_.
+  void advance_blocks(const RoundGraphView& view, Round r);
+
+  /// The delta path: `view` was patched forward from live_'s revision.
+  void advance_delta(const RoundGraphView& view, Round r);
+
+  /// Lays out next_ with the view's offsets and targets (its rounds are
+  /// filled after).
+  void begin_advance(const RoundGraphView& view);
+
   std::size_t n_;
   Snapshot live_;      ///< the last ingested round
   Snapshot next_;      ///< double buffer the next round is written into
@@ -89,6 +109,7 @@ class DynamicGraphTracker {
   std::uint64_t deletions_ = 0;
   Round min_lifetime_ = kNoRound;
   Round last_round_ = 0;
+  std::uint64_t revision_ = 0;  ///< Graph revision live_ holds (0: unknown)
 };
 
 }  // namespace dyngossip

@@ -1,10 +1,16 @@
 #include "graph/graph.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <utility>
 
 namespace dyngossip {
 
 namespace {
+
+/// Source of revision ids: process-wide, so that two graphs share a
+/// revision only as copies of one committed edge set.
+std::atomic<std::uint64_t> g_next_revision{1};
 
 /// Swap-removes `x` from `list`; returns true iff it was present.
 bool drop_from(std::vector<NodeId>& list, NodeId x) {
@@ -41,6 +47,7 @@ bool Graph::add_edge(NodeId u, NodeId v) {
   adjacency_[u].push_back(v);
   adjacency_[v].push_back(u);
   ++num_edges_;
+  journal(edge_key(u, v), true);
   return true;
 }
 
@@ -50,6 +57,7 @@ bool Graph::remove_edge(NodeId u, NodeId v) {
   const bool dropped = drop_from(adjacency_[v], u);
   DG_CHECK(dropped);
   --num_edges_;
+  journal(edge_key(u, v), false);
   return true;
 }
 
@@ -70,6 +78,72 @@ std::vector<EdgeKey> Graph::sorted_edges() const {
   std::vector<EdgeKey> out = edges();
   std::sort(out.begin(), out.end());
   return out;
+}
+
+void Graph::journal_slow(EdgeKey key, bool added) {
+  if (log_.revision != 0) {  // first mutation since a commit: open a journal
+    log_.open = log_.revision;
+    log_.revision = 0;
+    log_.added.clear();
+    log_.cut.clear();
+  }
+  if (log_.open == 0) return;
+  (added ? log_.added : log_.cut).push_back(key);
+  // Past twice the graph's size a journal's delta would cost more to apply
+  // than a rebuild: drop it, so its memory stays O(n + m).
+  if (log_.added.size() + log_.cut.size() > 2 * (num_edges_ + adjacency_.size())) {
+    log_.open = 0;
+    log_.added.clear();
+    log_.cut.clear();
+  }
+}
+
+void Graph::commit() {
+  if (log_.revision != 0) return;  // unchanged since the last commit
+  log_.base = log_.open;
+  log_.delta.inserted.clear();
+  log_.delta.removed.clear();
+  if (log_.open != 0) {
+    std::sort(log_.added.begin(), log_.added.end());
+    std::sort(log_.cut.begin(), log_.cut.end());
+    log_.delta.set_net(log_.added, log_.cut);
+  }
+  log_.open = 0;
+  log_.added.clear();
+  log_.cut.clear();
+  log_.revision = g_next_revision.fetch_add(1, std::memory_order_relaxed);
+}
+
+void Graph::ChangeLog::reset() noexcept {
+  revision = 0;
+  base = 0;
+  delta.inserted.clear();
+  delta.removed.clear();
+  open = 0;
+  added.clear();
+  cut.clear();
+}
+
+Graph::ChangeLog::ChangeLog(ChangeLog&& other) noexcept
+    : revision(std::exchange(other.revision, 0)),
+      base(std::exchange(other.base, 0)),
+      delta(std::move(other.delta)),
+      open(std::exchange(other.open, 0)),
+      added(std::move(other.added)),
+      cut(std::move(other.cut)) {
+  other.reset();
+}
+
+Graph::ChangeLog& Graph::ChangeLog::operator=(ChangeLog&& other) noexcept {
+  if (this == &other) return *this;
+  revision = std::exchange(other.revision, 0);
+  base = std::exchange(other.base, 0);
+  delta = std::move(other.delta);
+  open = std::exchange(other.open, 0);
+  added = std::move(other.added);
+  cut = std::move(other.cut);
+  other.reset();
+  return *this;
 }
 
 }  // namespace dyngossip

@@ -30,6 +30,7 @@ const Graph& TraceAdversary::next_graph(Round r) {
         " rounds); re-record with a higher --cap, or replay with "
         "hold_last_graph to freeze the final topology");
   }
+  current_.commit();
   return current_;
 }
 

@@ -3,6 +3,8 @@
 // against hand-constructed adversaries.
 #include "adversary/registry.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <sstream>
@@ -199,7 +201,8 @@ TEST(AdversaryRegistry, ScriptedUsesContextScript) {
 class FileBackedFamilies : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "registry_test_trace.dgt";
+    path_ = ::testing::TempDir() + "registry_test_trace_" + std::to_string(::getpid()) +
+            ".dgt";
     std::ofstream out(path_, std::ios::binary | std::ios::trunc);
     BinaryTraceWriter writer(out, /*n=*/16, /*seed=*/3, "test");
     ChurnConfig cc;

@@ -4,6 +4,9 @@
 // the memoized sweep scheduler serving hits without re-running trials.
 #include "cache/result_cache.hpp"
 
+#include <unistd.h>
+
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -20,7 +23,8 @@ namespace dyngossip {
 namespace {
 
 std::string fresh_cache_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "dg_cache_" + name;
+  const std::string dir =
+      ::testing::TempDir() + "dg_cache_" + std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }
@@ -181,7 +185,7 @@ TEST(ResultCache, TimeoutAndStalledAreNeverStoreEligible) {
 TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
   ResultCache cache(fresh_cache_dir("timeout_bypass"));
   ThreadPool pool(2);
-  int runs = 0;
+  std::atomic<int> runs{0};  // incremented by the pool's two workers
   const auto sweep_once = [&](RunStatus status) {
     std::vector<KeyedTrial> trials(1);
     trials[0].key = key_with_seed(status == RunStatus::kTimeout ? 10 : 11);
@@ -202,7 +206,7 @@ TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
     EXPECT_FALSE(s[0].from_cache);
   }
   // Both statuses re-ran on the second sweep: nothing was written back.
-  EXPECT_EQ(runs, 4);
+  EXPECT_EQ(runs.load(), 4);
   EXPECT_EQ(cache.stats().stores, 0u);
   EXPECT_EQ(cache.info().entries, 0u);
 }
@@ -210,7 +214,7 @@ TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
 TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
   ResultCache cache(fresh_cache_dir("memo"));
   ThreadPool pool(2);
-  int runs = 0;
+  std::atomic<int> runs{0};  // incremented by the pool's two workers
   const auto make_trials = [&] {
     std::vector<KeyedTrial> trials(3);
     for (std::size_t i = 0; i < trials.size(); ++i) {
@@ -226,12 +230,12 @@ TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
 
   const std::vector<MemoOutcome> cold = memoized_sweep(make_trials(), &cache, pool);
   ASSERT_EQ(cold.size(), 3u);
-  EXPECT_EQ(runs, 3);
+  EXPECT_EQ(runs.load(), 3);
   for (const MemoOutcome& o : cold) EXPECT_FALSE(o.from_cache);
 
   const std::vector<MemoOutcome> warm = memoized_sweep(make_trials(), &cache, pool);
   ASSERT_EQ(warm.size(), 3u);
-  EXPECT_EQ(runs, 3) << "warm sweep must not re-run any trial";
+  EXPECT_EQ(runs.load(), 3) << "warm sweep must not re-run any trial";
   for (std::size_t i = 0; i < warm.size(); ++i) {
     EXPECT_TRUE(warm[i].from_cache);
     EXPECT_EQ(warm[i].row.checksum, cold[i].row.checksum);
@@ -242,7 +246,7 @@ TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
   std::vector<KeyedTrial> bypass = make_trials();
   for (KeyedTrial& t : bypass) t.cacheable = false;
   const std::vector<MemoOutcome> raw = memoized_sweep(bypass, &cache, pool);
-  EXPECT_EQ(runs, 6);
+  EXPECT_EQ(runs.load(), 6);
   for (const MemoOutcome& o : raw) EXPECT_FALSE(o.from_cache);
 }
 

@@ -8,6 +8,8 @@
 // (churn, σ-stable bursts, the adaptive request cutter, a static graph,
 // smoothed and plain trace replay), the serial and sharded send/delivery
 // paths, and runs with and without a fault plan (which turns parking off).
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <cstdio>
@@ -144,7 +146,8 @@ class ParkingIdentity : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     // One σ-stable schedule on disk serves both file-backed families.
-    trace_path_ = new std::string(::testing::TempDir() + "parking_identity.dgt");
+    trace_path_ = new std::string(::testing::TempDir() + "parking_identity_" +
+                                  std::to_string(::getpid()) + ".dgt");
     SigmaStableChurnConfig cfg;
     cfg.n = kTraceN;
     cfg.target_edges = 3 * kTraceN;

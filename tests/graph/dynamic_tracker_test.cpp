@@ -1,6 +1,8 @@
 // Tests for TC(E) accounting and edge-age tracking (Definition 1.3).
 #include "graph/dynamic_tracker.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
 #include <functional>
@@ -292,7 +294,8 @@ TEST(DynamicTrackerDifferential, SigmaBursts) {
 }
 
 TEST(DynamicTrackerDifferential, SmoothedTrace) {
-  const std::string path = ::testing::TempDir() + "tracker_differential.dgt";
+  const std::string path = ::testing::TempDir() + "tracker_differential_" +
+                           std::to_string(::getpid()) + ".dgt";
   SigmaStableChurnConfig cfg;
   cfg.n = 40;
   cfg.target_edges = 120;

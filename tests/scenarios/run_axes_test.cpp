@@ -6,6 +6,8 @@
 // hand-built run.
 #include "scenarios/run_axes.hpp"
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -40,7 +42,8 @@ ScenarioResult run_scenario(const std::string& name, const std::string& spec,
 class RecordedTrace : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "axis_test_recorded.dgt";
+    path_ = ::testing::TempDir() + "axis_test_recorded_" + std::to_string(::getpid()) +
+            ".dgt";
     // Record exactly the way `dyngossip trace record` does: run the shared
     // registry dispatch against a live churn adversary, teeing the
     // schedule, with the run flags embedded in the metadata.

@@ -4,6 +4,8 @@
 // concurrent sessions, and error surfacing.
 #include "serve/server.hpp"
 
+#include <unistd.h>
+
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -18,7 +20,8 @@ namespace dyngossip {
 namespace {
 
 std::string fresh_cache_dir(const char* name) {
-  const std::string dir = ::testing::TempDir() + "dg_serve_" + name;
+  const std::string dir =
+      ::testing::TempDir() + "dg_serve_" + std::to_string(::getpid()) + "_" + name;
   std::filesystem::remove_all(dir);
   return dir;
 }

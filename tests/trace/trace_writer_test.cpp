@@ -2,6 +2,8 @@
 // finish) and the recoverable TraceError paths that used to abort.
 #include "trace/trace_writer.hpp"
 
+#include <unistd.h>
+
 #include <cstdlib>
 #include <fstream>
 #include <memory>
@@ -23,7 +25,7 @@ bool file_exists(const std::string& path) {
 }
 
 std::string temp_path(const char* name) {
-  return ::testing::TempDir() + name;
+  return ::testing::TempDir() + std::to_string(::getpid()) + "_" + name;
 }
 
 void append_one_round(TraceWriter& writer) {
