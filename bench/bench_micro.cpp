@@ -752,11 +752,10 @@ void BM_KnowledgeSetSparseSubtract(benchmark::State& state) {
 }
 BENCHMARK(BM_KnowledgeSetSparseSubtract);
 
-/// Paired serial-vs-sharded engine rounds on the frontier regime
-/// (k = 256, 8n churn edges — the xlarge scenario shape).  Throughput in
-/// rounds/sec is the headline number of docs/PERFORMANCE.md; the sharded
-/// variant pins min_parallel_nodes = 1 so sharding engages at every size.
-UnicastEngine make_frontier_engine(std::size_t n, UnicastEngineOptions opts) {
+/// Unicast engine rounds on the frontier regime (k = 256, 8n churn edges —
+/// the xlarge scenario shape).  The engine is serial; the broadcast
+/// benchmark below pairs its serial and sharded rounds.
+UnicastEngine make_frontier_engine(std::size_t n) {
   const std::uint32_t k = 256;
   ChurnConfig cc;
   cc.n = n;
@@ -769,12 +768,12 @@ UnicastEngine make_frontier_engine(std::size_t n, UnicastEngineOptions opts) {
   auto* adversary = new ChurnAdversary(cc);
   SingleSourceConfig cfg{n, k, 0};
   return UnicastEngine(SingleSourceNode::make_all(cfg), *adversary,
-                       SingleSourceNode::initial_knowledge(cfg), k, opts);
+                       SingleSourceNode::initial_knowledge(cfg), k);
 }
 
 void BM_UnicastEngineRoundFrontier(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
-  UnicastEngine engine = make_frontier_engine(n, {});
+  UnicastEngine engine = make_frontier_engine(n);
   for (auto _ : state) {
     if (engine.all_complete()) {
       state.SkipWithError("completed before timing window ended");
@@ -784,26 +783,6 @@ void BM_UnicastEngineRoundFrontier(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_UnicastEngineRoundFrontier)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_UnicastEngineRoundFrontierSharded(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  static ThreadPool pool(std::max<std::size_t>(ThreadPool::hardware_threads(), 2));
-  UnicastEngineOptions opts;
-  opts.pool = &pool;
-  opts.min_parallel_nodes = 1;
-  UnicastEngine engine = make_frontier_engine(n, opts);
-  for (auto _ : state) {
-    if (engine.all_complete()) {
-      state.SkipWithError("completed before timing window ended");
-      break;
-    }
-    benchmark::DoNotOptimize(engine.step());
-  }
-}
-BENCHMARK(BM_UnicastEngineRoundFrontierSharded)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMillisecond);

@@ -11,6 +11,7 @@
 #include "core/single_source.hpp"
 #include "core/tokens.hpp"
 #include "engine/unicast_engine.hpp"
+#include "fault/fault_plan.hpp"
 #include "sim/simulator.hpp"
 #include "trace/trace_format.hpp"
 #include "trace/trace_reader.hpp"
@@ -181,6 +182,12 @@ RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
 RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                                    Adversary& adversary) {
   reject_initial_override(spec, ctx);
+  // The pipeline's tree and token cursors assume every payload arrives and
+  // no node drops out; a lost or repeated payload trips its invariants.
+  if (ctx.faults != nullptr && ctx.faults->active()) {
+    fail("spanning_tree: the static pipeline assumes a fault-free network; "
+         "it cannot run under an active --fault plan");
+  }
   const SpecReader r(spec, ctx);
   const std::size_t root = r.get_size("root", 0);
   if (root >= ctx.n) fail("spanning_tree: root must be < n");
@@ -470,7 +477,7 @@ void register_all_algorithms(AlgoRegistry& registry) {
   registry.add(
       {"spanning_tree",
        "static spanning-tree pipeline (Section 1's baseline, O(n^2 + nk); "
-       "static schedules only)",
+       "static schedules only, no faults)",
        "spanning_tree:root=0",
        AlgoEngine::kUnicast,
        /*requires_static=*/true,

@@ -16,11 +16,12 @@
 // total order under the (time, node, seq) tie-break, activation times are
 // per-node prefix sums of position-keyed exponential gaps, and every
 // neighbor/token/fault decision is a pure SplitMix64 hash of the event's
-// schedule position (never of evaluation order or stream state).  The
-// `pool` option exists only for interface parity with the round engines:
-// per-event work is a handful of loads, so there is nothing to shard, and
-// ignoring the pool makes payloads trivially bit-identical at 1, 2, or 8
-// threads (enforced by tests/async/ and the CI payload diff).
+// schedule position (never of evaluation order or stream state).  Like the
+// unicast engine it ignores the shared RunOptions `pool` (only the
+// broadcast engine shards its rounds): per-event work is a handful of
+// loads, so there is nothing to shard, and ignoring the pool makes payloads
+// trivially bit-identical at 1, 2, or 8 threads (enforced by tests/async/
+// and the CI payload diff).
 //
 // Zero-overhead contract: with no probe, no timeline, and an inactive
 // fault plan, the hot loop touches none of those subsystems — the same

@@ -52,22 +52,17 @@ std::vector<MemoOutcome> memoized_sweep(const std::vector<KeyedTrial>& trials,
     misses.push_back(i);
   }
 
-  // One parallelism axis, decided over the trials that actually run: fan
-  // misses across the pool when they can fill it, otherwise run them
-  // serially here and let each engine shard its rounds across the pool.
-  // Either axis is bit-identical (the shard_schedule invariant), so a warm
-  // run flipping the decision never changes the rows.
-  ThreadPool* engine_pool =
-      prefer_intra_round_sharding(misses.size(), pool) ? &pool : nullptr;
-  JobBatch batch;
-  for (const std::size_t idx : misses) {
-    batch.add([&out, &trials, engine_pool, idx] {
-      out[idx].row = trials[idx].run(engine_pool);
-    });
-  }
-  if (engine_pool != nullptr) {
-    for (std::size_t j = 0; j < batch.size(); ++j) batch.run_job(j);
+  // One parallelism axis, decided over the trials that actually run: a lone
+  // miss runs here with the pool handed to its engines, anything more fans
+  // out across the pool.  Either axis is bit-identical (the shard_schedule
+  // invariant), so a warm run flipping the decision never changes the rows.
+  if (prefer_intra_round_sharding(misses.size())) {
+    out[misses[0]].row = trials[misses[0]].run(&pool);
   } else {
+    JobBatch batch;
+    for (const std::size_t idx : misses) {
+      batch.add([&out, &trials, idx] { out[idx].row = trials[idx].run(nullptr); });
+    }
     batch.run(pool);
   }
 

@@ -3,8 +3,8 @@
 //
 // A sweep is a list of keyed trials.  The scheduler consults the cache for
 // every cacheable key first, schedules ONLY the misses across the thread
-// pool (reusing the shard_schedule policy: trial-parallel when the misses
-// can fill the pool, intra-round engine sharding otherwise), writes
+// pool (reusing the shard_schedule policy: a lone miss runs on the caller
+// thread with the pool handed to its engines, more fan out), writes
 // store-eligible results back, and returns outcomes in input order — so a
 // warm re-run of a sweep skips straight to aggregation.  With no cache
 // attached (or nothing cacheable) the schedule is exactly the cold one; by

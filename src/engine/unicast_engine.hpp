@@ -106,8 +106,9 @@ class UnicastAlgorithm {
                       const DynamicGraphTracker& /*tracker*/) {}
 };
 
-/// Engine options: the shared RunOptions (pool, faults, timeout,
-/// telemetry; see sim/run_options.hpp) plus the unicast engine's own.
+/// Engine options: the shared RunOptions (faults, timeout, telemetry; see
+/// sim/run_options.hpp) plus the unicast engine's own.  The engine runs
+/// every round on the calling thread and ignores `pool`.
 struct UnicastEngineOptions : RunOptions {
   /// First round number this engine executes (phase-2 engines of
   /// Algorithm 2 continue a running execution).
@@ -119,10 +120,6 @@ struct UnicastEngineOptions : RunOptions {
   std::uint32_t max_payloads_per_edge = 4;
   /// Record individual learning events (O(nk) memory).
   bool record_learning_events = false;
-  /// Minimum node count before sharding engages (below it fork/join
-  /// overhead dominates a round).  Tests lower this to force sharding at
-  /// small n.
-  std::size_t min_parallel_nodes = 4096;
 };
 
 /// Drives n UnicastAlgorithm instances against an adversary.
@@ -197,37 +194,17 @@ class UnicastEngine {
   void set_round_hook(RoundHook hook) { hook_ = std::move(hook); }
 
  private:
-  /// Per-shard send-phase scratch (outbox + message counters), reused
-  /// across rounds; merged in shard (= node) order after the joins.
-  struct SendShard {
-    std::vector<SentRecord> traffic;
-    MessageCounts counts;
-  };
-
-  /// Per-shard delivery-phase counters, folded into the engine totals
-  /// after the join.
-  struct DeliverShard {
-    std::uint64_t learnings = 0;
-    std::uint64_t duplicates = 0;
-    std::size_t newly_complete = 0;
-  };
-
-  /// Validates and accounts the records a node appended to `sink` since
-  /// `mark` (shared by the serial and sharded send paths).
-  void validate_sent(NodeId v, std::vector<SentRecord>& sink, std::size_t mark,
-                     MessageCounts& counts);
+  /// Validates and accounts the records node v appended to traffic_ since
+  /// `mark`.
+  void validate_sent(NodeId v, std::size_t mark);
 
   /// Wakes and marks dirty the sleeping endpoints of round r's diff
-  /// (serial, before the send phase).
+  /// (before the send phase).
   void wake_from_diff(const GraphDiff& diff);
 
   /// One node's send step: resume if dirty, send, validate, and record
   /// whether it now sleeps.
-  void send_node(Round r, NodeId v, std::vector<SentRecord>& sink,
-                 MessageCounts& counts);
-
-  void send_phase_sharded(Round r, std::size_t shards);
-  void deliver_sharded(Round r, std::size_t shards);
+  void send_node(Round r, NodeId v);
 
   std::vector<std::unique_ptr<UnicastAlgorithm>> nodes_;
   Adversary& adversary_;
@@ -243,13 +220,11 @@ class UnicastEngine {
   Round start_offset_;
   Round round_;
   std::uint32_t max_payloads_per_edge_;
-  std::size_t min_parallel_nodes_;
   RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
   // Active-node frontier (all zero while a fault plan is active): a
   // sleeping node is skipped by the send phase; a dirty one saw edge
-  // changes while asleep.  Byte arrays, so each shard writes only its own
-  // nodes' entries.
+  // changes while asleep.
   bool parking_;
   std::vector<std::uint8_t> asleep_;
   std::vector<std::uint8_t> dirty_;
@@ -260,12 +235,6 @@ class UnicastEngine {
   // rounds: per-record delivery fates and per-arc delivery sequences.
   std::vector<std::uint8_t> fate_;        ///< FaultPlan::Fate per traffic record
   std::vector<std::uint32_t> arc_seq_;    ///< delivery sequence per directed arc
-  // Sharded-path scratch, reused across rounds.
-  std::vector<SendShard> send_shards_;
-  std::vector<DeliverShard> deliver_shards_;
-  std::vector<std::size_t> recipient_begin_;   ///< bucket offsets per recipient
-  std::vector<std::size_t> recipient_cursor_;  ///< scatter cursor per recipient
-  std::vector<std::size_t> record_of_;         ///< traffic indices, bucketed
 };
 
 }  // namespace dyngossip

@@ -130,28 +130,25 @@ ScenarioResult run(const ScenarioContext& ctx) {
   }
 
   std::vector<std::vector<TrialOut>> out(rows.size(), std::vector<TrialOut>(seeds));
-  // One parallelism axis per table: few big trials → serial trials with
-  // engine-owned sharding; many small trials → trial-parallel as before.
-  ThreadPool* engine_pool =
-      prefer_intra_round_sharding(rows.size() * seeds, ctx.pool())
-          ? &ctx.pool()
-          : nullptr;
-  JobBatch batch;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t i = 0; i < seeds; ++i) {
-      batch.add([&out, &rows, engine_pool, r, i] {
-        const RowSpec& spec = rows[r];
-        const std::uint64_t seed =
-            11'000 + 17 * spec.n + 5 * spec.sigma + i +
-            static_cast<std::uint64_t>(100.0 * spec.churn_rate);
-        out[r][i] = run_trial(spec.n, spec.k, spec.sigma, spec.churn_rate,
-                              spec.target_edges, spec.cap, seed, engine_pool);
-      });
-    }
-  }
-  if (engine_pool != nullptr) {
-    for (std::size_t j = 0; j < batch.size(); ++j) batch.run_job(j);
+  const auto trial = [&rows](std::size_t r, std::size_t i, ThreadPool* pool) {
+    const RowSpec& spec = rows[r];
+    const std::uint64_t seed = 11'000 + 17 * spec.n + 5 * spec.sigma + i +
+                               static_cast<std::uint64_t>(100.0 * spec.churn_rate);
+    return run_trial(spec.n, spec.k, spec.sigma, spec.churn_rate,
+                     spec.target_edges, spec.cap, seed, pool);
+  };
+  // One parallelism axis per table (sim/runner/shard_schedule.hpp): a lone
+  // trial runs here with the pool handed to its engine; anything more fans
+  // out across the pool.
+  if (prefer_intra_round_sharding(rows.size() * seeds)) {
+    out[0][0] = trial(0, 0, &ctx.pool());
   } else {
+    JobBatch batch;
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      for (std::size_t i = 0; i < seeds; ++i) {
+        batch.add([&out, &trial, r, i] { out[r][i] = trial(r, i, nullptr); });
+      }
+    }
     batch.run(ctx.pool());
   }
 

@@ -13,15 +13,15 @@ class FaultPlan;
 class ThreadPool;
 
 struct RunOptions {
-  /// Worker pool for intra-round sharding; null (or a 1-worker pool) keeps
-  /// the fully serial path.  Sharding requires that node algorithms touch
-  /// only node-local state in their send/receive hooks (true for every
-  /// algorithm in this repo), and the engine must run on a non-pool thread:
-  /// the pool is a leaf executor (see sim/runner/thread_pool.hpp), so hand
+  /// Worker pool for intra-round sharding; only BroadcastEngine reads it
+  /// (the unicast and async engines run every round on the calling
+  /// thread).  Null or a 1-worker pool keeps the serial path.  Sharding
+  /// requires that node algorithms touch only node-local state in their
+  /// send/receive hooks, and the engine must run on a non-pool thread: the
+  /// pool is a leaf executor (see sim/runner/thread_pool.hpp), so hand
   /// engines a pool only when trials are NOT already parallelized across it
   /// (sim/runner/shard_schedule.hpp implements that policy).  Results are
-  /// bit-identical to the serial engine at any thread count.  The async
-  /// engine is serial by design and ignores the pool.
+  /// bit-identical to the serial engine at any thread count.
   ThreadPool* pool = nullptr;
   /// Per-trial fault plan (not owned; multi-phase executions share one, so
   /// liveness history is continuous across phases).  Null or inactive makes

@@ -34,10 +34,6 @@ class JobBatch {
   /// Runs every job on the pool; blocks until all complete.
   void run(ThreadPool& pool);
 
-  /// Runs job `index` on the calling thread (the serial-trials side of the
-  /// shard_schedule policy, where engines own the pool instead).
-  void run_job(std::size_t index) { jobs_.at(index)(); }
-
  private:
   std::vector<std::function<void()>> jobs_;
 };

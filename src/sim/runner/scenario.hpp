@@ -57,8 +57,9 @@ inline bool operator!=(const ScenarioResult& a, const ScenarioResult& b) {
 /// CI-smoke settings; `large` stretches the flagship scenarios to
 /// n ~ 10⁴ (single trial, churn-style adversaries) to exercise the
 /// flat-snapshot engine path at scale; `xlarge` pushes single_source /
-/// sigma_stable_churn to n = 10⁵, where intra-round engine sharding and the
-/// sparse KnowledgeSet representation carry the run.
+/// sigma_stable_churn to n = 10⁵, where the parked-node frontier, the
+/// delta round ingest and the sparse KnowledgeSet representation carry the
+/// run.
 enum class ScenarioScale : std::uint8_t {
   kQuick = 0,
   kDefault = 1,

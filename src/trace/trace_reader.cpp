@@ -103,6 +103,25 @@ bool TraceReaderBase::next_round(Graph& g) {
   return true;
 }
 
+std::size_t TraceReaderBase::readded() const noexcept {
+  // Both lists are sorted (next_round validated them): one merge walk.
+  std::size_t common = 0;
+  std::size_t i = 0;
+  std::size_t d = 0;
+  while (i < ins_scratch_.size() && d < del_scratch_.size()) {
+    if (ins_scratch_[i] < del_scratch_[d]) {
+      ++i;
+    } else if (del_scratch_[d] < ins_scratch_[i]) {
+      ++d;
+    } else {
+      ++common;
+      ++i;
+      ++d;
+    }
+  }
+  return common;
+}
+
 // ---------------------------------------------------------------------------
 // Binary codec
 // ---------------------------------------------------------------------------

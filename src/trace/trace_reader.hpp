@@ -42,8 +42,10 @@ class TraceSource {
   /// Rounds applied so far.
   [[nodiscard]] virtual Round rounds_read() const noexcept = 0;
 
-  /// Sizes of the delta the most recent next_round applied (0 before the
-  /// first round).  Σ insertions over a trace is the schedule's TC(E).
+  /// Net sizes of the delta the most recent next_round applied (0 before
+  /// the first round): keys in one of its lists but not the other, since a
+  /// key in both is removed and re-inserted in the same round (a no-op for
+  /// the graph).  Σ insertions over a trace is the schedule's TC(E).
   [[nodiscard]] virtual std::size_t last_insertions() const noexcept = 0;
   [[nodiscard]] virtual std::size_t last_removals() const noexcept = 0;
 };
@@ -61,10 +63,10 @@ class TraceReaderBase : public TraceSource {
   }
   [[nodiscard]] Round rounds_read() const noexcept override { return rounds_read_; }
   [[nodiscard]] std::size_t last_insertions() const noexcept override {
-    return ins_scratch_.size();
+    return ins_scratch_.size() - readded();
   }
   [[nodiscard]] std::size_t last_removals() const noexcept override {
-    return del_scratch_.size();
+    return del_scratch_.size() - readded();
   }
 
   bool next_round(Graph& g) final;
@@ -89,6 +91,9 @@ class TraceReaderBase : public TraceSource {
   TraceHeader header_;
 
  private:
+  /// Keys in both lists of the most recent block (removed, then re-added).
+  [[nodiscard]] std::size_t readded() const noexcept;
+
   Round rounds_read_ = 0;
   bool finished_ = false;
   TraceChecksum checksum_;

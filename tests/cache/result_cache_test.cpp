@@ -10,10 +10,14 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "adversary/registry.hpp"
+#include "algo/registry.hpp"
 #include "cache/memo_sweep.hpp"
 #include "common/provenance.hpp"
 #include "sim/runner/thread_pool.hpp"
@@ -248,6 +252,68 @@ TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
   const std::vector<MemoOutcome> raw = memoized_sweep(bypass, &cache, pool);
   EXPECT_EQ(runs.load(), 6);
   for (const MemoOutcome& o : raw) EXPECT_FALSE(o.from_cache);
+}
+
+TEST(ResultCache, MemoizedSweepHandsOnlyALoneTrialThePool) {
+  // jobs × pool size: a lone trial runs on the calling thread with the pool
+  // handed to its engines; zero or several trials fan out across the pool
+  // and every one of them gets a null engine pool.
+  for (const std::size_t workers : {1u, 2u, 4u}) {
+    ThreadPool pool(workers);
+    for (const std::size_t jobs : {0u, 1u, 2u, 3u}) {
+      SCOPED_TRACE("workers=" + std::to_string(workers) +
+                   " jobs=" + std::to_string(jobs));
+      std::vector<ThreadPool*> seen(jobs, nullptr);
+      std::vector<KeyedTrial> trials(jobs);
+      for (std::size_t i = 0; i < jobs; ++i) {
+        trials[i].key = make_run_key("flooding:", "static:", "", 8, 1, 1, 0, i);
+        trials[i].run = [&seen, i](ThreadPool* engine_pool) {
+          seen[i] = engine_pool;
+          return CachedResult{};
+        };
+      }
+      EXPECT_EQ(memoized_sweep(trials, nullptr, pool).size(), jobs);
+      for (ThreadPool* p : seen) EXPECT_EQ(p, jobs == 1 ? &pool : nullptr);
+    }
+  }
+}
+
+TEST(ResultCache, MemoizedSweepLoneBroadcastTrialMatchesAcrossPools) {
+  // One broadcast-family miss at n = 4096 (the broadcast engine's sharding
+  // threshold): on a 4-worker pool its engine shards each round, on a
+  // 1-worker pool it plans one shard.  The row must be the same.
+  constexpr std::size_t kN = 4096;
+  const auto sweep_on = [](std::size_t workers) {
+    ThreadPool pool(workers);
+    std::vector<KeyedTrial> trials(1);
+    trials[0].key =
+        make_run_key("random_flooding:", "churn:rate=0.1", "fault", kN, 4, 1, 0, 7);
+    trials[0].run = [](ThreadPool* engine_pool) {
+      const std::unique_ptr<Adversary> adversary =
+          build_adversary(AdversarySpec::parse("churn:rate=0.1"), kN, 7);
+      AlgoBuildContext ctx;
+      ctx.n = kN;
+      ctx.k = 4;
+      ctx.sources = 1;
+      ctx.seed = 7;
+      ctx.pool = engine_pool;
+      const RunResult res =
+          run_algo(AlgoSpec::parse("random_flooding:"), ctx, *adversary);
+      return make_cached_result(kN, ctx.k_realized, res);
+    };
+    const std::vector<MemoOutcome> out = memoized_sweep(trials, nullptr, pool);
+    EXPECT_EQ(out.size(), 1u);
+    return out.at(0).row;
+  };
+  const CachedResult serial = sweep_on(1);
+  const CachedResult sharded = sweep_on(4);
+  EXPECT_TRUE(serial.metrics.completed);
+  EXPECT_EQ(sharded.checksum, serial.checksum);
+  EXPECT_EQ(sharded.k_realized, serial.k_realized);
+  EXPECT_EQ(sharded.metrics.broadcasts, serial.metrics.broadcasts);
+  EXPECT_EQ(sharded.metrics.rounds, serial.metrics.rounds);
+  EXPECT_EQ(sharded.metrics.tc, serial.metrics.tc);
+  EXPECT_EQ(sharded.metrics.learnings, serial.metrics.learnings);
 }
 
 TEST(ResultCache, IndexAndInfoTrackTheObjectStore) {

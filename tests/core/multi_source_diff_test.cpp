@@ -16,7 +16,6 @@
 // pins of run_multi_source and run_oblivious_multi_source guard the
 // payloads against both implementations drifting together.
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <sstream>
@@ -32,7 +31,6 @@
 #include "engine/unicast_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
-#include "sim/runner/thread_pool.hpp"
 #include "sim/simulator.hpp"
 #include "trace/run_payload.hpp"
 
@@ -184,12 +182,11 @@ class ReferenceNode final : public UnicastAlgorithm {
   std::vector<NodeId> by_class_[3];
 };
 
-/// Outbox mismatches seen by the paired nodes (atomic: sharded send phases
-/// run nodes of different shards concurrently).
+/// Outbox mismatches seen by the paired nodes.
 struct Mismatches {
-  std::atomic<std::uint64_t> count{0};
-  std::atomic<std::uint64_t> sends{0};
-  std::atomic<Round> first_round{0};
+  std::uint64_t count = 0;
+  std::uint64_t sends = 0;
+  Round first_round = 0;
 };
 
 bool same_record(const SentRecord& a, const SentRecord& b) {
@@ -217,9 +214,7 @@ class PairNode final : public UnicastAlgorithm {
     const std::span<const SentRecord> a = want.queued();
     const std::span<const SentRecord> b = got.queued();
     if (!std::equal(a.begin(), a.end(), b.begin(), b.end(), same_record)) {
-      Round none = 0;
-      mismatches_.first_round.compare_exchange_strong(none, r);
-      ++mismatches_.count;
+      if (mismatches_.count++ == 0) mismatches_.first_round = r;
     }
     for (const SentRecord& rec : b) out.send(rec.to, rec.msg);
   }
@@ -245,7 +240,6 @@ struct Case {
   std::uint64_t seed = 1;
   bool phase2 = false;     ///< random extra initial knowledge (make_all_with)
   std::string fault;       ///< FaultSpec string, empty for none
-  bool sharded = false;
 };
 
 struct Outcome {
@@ -272,7 +266,7 @@ std::vector<KnowledgeSet> initial_knowledge(const Case& c) {
   return initial;
 }
 
-Outcome run_case(const Case& c, Nodes kind, ThreadPool* pool) {
+Outcome run_case(const Case& c, Nodes kind) {
   const std::unique_ptr<Adversary> adversary =
       build_adversary(AdversarySpec::parse(c.adversary), c.n, c.seed);
   FaultPlan plan(c.fault.empty() ? FaultSpec{} : FaultSpec::parse(c.fault), c.n,
@@ -297,10 +291,6 @@ Outcome run_case(const Case& c, Nodes kind, ThreadPool* pool) {
       break;
   }
   UnicastEngineOptions opts;
-  if (c.sharded) {
-    opts.pool = pool;
-    opts.min_parallel_nodes = 1;
-  }
   if (!c.fault.empty()) opts.faults = &plan;
   const std::uint32_t k = c.space->total_tokens();
   UnicastEngine engine(std::move(nodes), *adversary, initial, k, opts);
@@ -384,11 +374,10 @@ std::vector<Case> cases() {
     c.seed = 400 + s;
     out.push_back(c);
     Case d = c;
-    d.name += " phase2 sharded";
+    d.name += " phase2 cutter";
     d.space = interleaved(d.n, s, static_cast<std::uint32_t>(3 * s));
     d.phase2 = true;
     d.adversary = "cutter:p=0.7";
-    d.sharded = true;
     out.push_back(d);
   }
   Case stat;
@@ -401,14 +390,13 @@ std::vector<Case> cases() {
 }
 
 TEST(MultiSourceDiff, OutboxesAndMetricsMatchReference) {
-  ThreadPool pool(2);
   for (const Case& c : cases()) {
     SCOPED_TRACE(c.name);
-    const Outcome pair = run_case(c, Nodes::kPair, &pool);
+    const Outcome pair = run_case(c, Nodes::kPair);
     EXPECT_EQ(pair.mismatches, 0u) << "first differing round " << pair.first_mismatch;
     EXPECT_GT(pair.sends, 0u);
-    const Outcome ref = run_case(c, Nodes::kReference, &pool);
-    const Outcome got = run_case(c, Nodes::kNew, &pool);
+    const Outcome ref = run_case(c, Nodes::kReference);
+    const Outcome got = run_case(c, Nodes::kNew);
     EXPECT_EQ(got.checksum, ref.checksum);
     EXPECT_EQ(got.checksum, pair.checksum);
     EXPECT_EQ(got.metrics.unicast.token, ref.metrics.unicast.token);

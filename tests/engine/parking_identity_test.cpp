@@ -6,11 +6,10 @@
 // UnicastAlgorithm defaults, so the comparison needs no engine option.
 // The grid covers every adversary shape that moves edges differently
 // (churn, σ-stable bursts, the adaptive request cutter, a static graph,
-// smoothed and plain trace replay), the serial and sharded send/delivery
-// paths, and runs with and without a fault plan (which turns parking off).
+// smoothed and plain trace replay), and runs with and without a fault plan
+// (which turns parking off).
 #include <unistd.h>
 
-#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -25,7 +24,6 @@
 #include "engine/unicast_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
-#include "sim/runner/thread_pool.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_gen.hpp"
 #include "trace/trace_writer.hpp"
@@ -33,11 +31,10 @@
 namespace dyngossip {
 namespace {
 
-/// Send calls and resumes seen by the wrapped nodes (atomic: sharded send
-/// phases call nodes of different shards concurrently).
+/// Send calls and resumes seen by the wrapped nodes.
 struct CallCounts {
-  std::atomic<std::uint64_t> sends{0};
-  std::atomic<std::uint64_t> resumes{0};
+  std::uint64_t sends = 0;
+  std::uint64_t resumes = 0;
 };
 
 /// Forwards to a SingleSourceNode.  With `park` false it keeps the
@@ -85,7 +82,6 @@ struct Case {
   std::size_t n = 0;
   std::uint32_t k = 0;
   std::uint64_t seed = 0;
-  ThreadPool* pool = nullptr;
   const FaultSpec* fault = nullptr;
 };
 
@@ -106,8 +102,6 @@ Outcome run_case(const Case& c, Nodes nodes) {
     }
   }
   UnicastEngineOptions opts;
-  opts.pool = c.pool;
-  opts.min_parallel_nodes = 1;  // shard even at test-sized n (with a pool)
   if (c.fault != nullptr) opts.faults = &plan;
   UnicastEngine engine(std::move(algos), *adversary,
                        SingleSourceNode::initial_knowledge(cfg), c.k, opts);
@@ -182,7 +176,6 @@ class ParkingIdentity : public ::testing::Test {
 std::string* ParkingIdentity::trace_path_ = nullptr;
 
 TEST_F(ParkingIdentity, ParkedRunsMatchNeverParkedRuns) {
-  ThreadPool pool(2);
   FaultSpec spec;
   spec.drop = 0.05;
   spec.dup = 0.05;
@@ -192,30 +185,26 @@ TEST_F(ParkingIdentity, ParkedRunsMatchNeverParkedRuns) {
   const FaultSpec* fault = &spec;
   for (const std::string& adversary : adversaries()) {
     for (const std::uint64_t seed : {3u, 17u}) {
-      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-        for (const FaultSpec* f : {static_cast<const FaultSpec*>(nullptr), fault}) {
-          Case c;
-          c.adversary = adversary;
-          c.n = kTraceN;
-          c.k = seed == 3 ? 12 : 31;
-          c.seed = seed;
-          c.pool = p;
-          c.fault = f;
-          const std::string what = adversary + " seed=" + std::to_string(seed) +
-                                   (p != nullptr ? " sharded" : " serial") +
-                                   (f != nullptr ? " faulted" : "");
-          const Outcome bare = run_case(c, Nodes::kBare);
-          expect_identical(run_case(c, Nodes::kNeverPark), bare, what);
-          const Outcome counted = run_case(c, Nodes::kCountedPark);
-          expect_identical(counted, bare, what);
-          // The frontier must actually skip work (else this test gates
-          // nothing) — except under a fault plan, which disables parking.
-          const std::uint64_t node_rounds = c.n * bare.metrics.rounds;
-          if (f == nullptr) {
-            EXPECT_LT(counted.sends, node_rounds) << what;
-          } else {
-            EXPECT_EQ(counted.resumes, 0u) << what;
-          }
+      for (const FaultSpec* f : {static_cast<const FaultSpec*>(nullptr), fault}) {
+        Case c;
+        c.adversary = adversary;
+        c.n = kTraceN;
+        c.k = seed == 3 ? 12 : 31;
+        c.seed = seed;
+        c.fault = f;
+        const std::string what = adversary + " seed=" + std::to_string(seed) +
+                                 (f != nullptr ? " faulted" : "");
+        const Outcome bare = run_case(c, Nodes::kBare);
+        expect_identical(run_case(c, Nodes::kNeverPark), bare, what);
+        const Outcome counted = run_case(c, Nodes::kCountedPark);
+        expect_identical(counted, bare, what);
+        // The frontier must actually skip work (else this test gates
+        // nothing) — except under a fault plan, which disables parking.
+        const std::uint64_t node_rounds = c.n * bare.metrics.rounds;
+        if (f == nullptr) {
+          EXPECT_LT(counted.sends, node_rounds) << what;
+        } else {
+          EXPECT_EQ(counted.resumes, 0u) << what;
         }
       }
     }

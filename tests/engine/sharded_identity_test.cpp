@@ -1,8 +1,9 @@
-// Bit-identity of the sharded engine paths: a run with intra-round
-// sharding across an N-worker pool must reproduce the serial run exactly —
-// same payload checksum, same per-node knowledge, same learning log —
-// at every thread count.  min_parallel_nodes is pinned to 1 so sharding
-// engages even at test-sized n.
+// Bit-identity of the broadcast engine's sharded path (the only engine that
+// shards its rounds): a run with intra-round sharding across an N-worker
+// pool must reproduce the serial run exactly — same payload checksum, same
+// per-node knowledge, same learning log — at every thread count.
+// min_parallel_nodes is pinned to 1 so sharding engages even at test-sized
+// n.
 #include <cstdint>
 #include <vector>
 
@@ -10,9 +11,7 @@
 
 #include "adversary/churn.hpp"
 #include "core/flooding.hpp"
-#include "core/single_source.hpp"
 #include "engine/broadcast_engine.hpp"
-#include "engine/unicast_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
 #include "sim/runner/thread_pool.hpp"
@@ -61,33 +60,6 @@ FaultSpec identity_fault_spec() {
   return spec;
 }
 
-Snapshot run_unicast(std::size_t n, std::uint32_t k, ThreadPool* pool,
-                     const FaultSpec* fault = nullptr) {
-  ChurnAdversary adversary(churn_config(n));
-  // The plan is per-run state (liveness history) — never shared across runs.
-  FaultPlan plan(fault != nullptr ? *fault : FaultSpec{}, n, 123);
-  SingleSourceConfig cfg{n, k, 0};
-  UnicastEngineOptions opts;
-  opts.pool = pool;
-  opts.min_parallel_nodes = 1;  // shard even at test-sized n
-  if (fault != nullptr) opts.faults = &plan;
-  UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
-                       SingleSourceNode::initial_knowledge(cfg), k, opts);
-  RunResult res;
-  res.metrics = engine.run(static_cast<Round>(200 * n));
-  res.rounds = res.metrics.rounds;
-  res.completed = res.metrics.completed;
-
-  Snapshot snap;
-  snap.checksum = run_payload_checksum(n, k, res);
-  for (NodeId v = 0; v < n; ++v) {
-    snap.knowledge.push_back(engine.knowledge_of(v).set_positions());
-  }
-  snap.learnings = engine.learning_log().count();
-  snap.last_learning_round = engine.learning_log().last_learning_round();
-  return snap;
-}
-
 Snapshot run_broadcast(std::size_t n, std::size_t k, ThreadPool* pool,
                        const FaultSpec* fault = nullptr) {
   ChurnAdversary adversary(churn_config(n));
@@ -115,18 +87,6 @@ Snapshot run_broadcast(std::size_t n, std::size_t k, ThreadPool* pool,
   return snap;
 }
 
-TEST(ShardedIdentity, UnicastMatchesSerialAtEveryThreadCount) {
-  const std::size_t n = 96;
-  const std::uint32_t k = 64;
-  const Snapshot serial = run_unicast(n, k, nullptr);
-  ASSERT_FALSE(serial.knowledge.empty());
-
-  ThreadPool pool2(2);
-  expect_identical(serial, run_unicast(n, k, &pool2), "2 threads");
-  ThreadPool pool8(8);
-  expect_identical(serial, run_unicast(n, k, &pool8), "8 threads");
-}
-
 TEST(ShardedIdentity, BroadcastMatchesSerialAtEveryThreadCount) {
   const std::size_t n = 96;
   const std::size_t k = 64;
@@ -139,25 +99,10 @@ TEST(ShardedIdentity, BroadcastMatchesSerialAtEveryThreadCount) {
   expect_identical(serial, run_broadcast(n, k, &pool8), "8 threads");
 }
 
-TEST(ShardedIdentity, FaultedUnicastMatchesSerialAtEveryThreadCount) {
+TEST(ShardedIdentity, FaultedBroadcastMatchesSerialAtEveryThreadCount) {
   // Fault decisions are position-keyed hashes of (round, arc/node, seq),
   // never of evaluation order — so a faulted run must stay bit-identical
   // whichever shard (or thread count) evaluates each delivery.
-  const std::size_t n = 96;
-  const std::uint32_t k = 64;
-  const FaultSpec fault = identity_fault_spec();
-  const Snapshot serial = run_unicast(n, k, nullptr, &fault);
-  ASSERT_FALSE(serial.knowledge.empty());
-  // The spec must actually perturb the run, or this test gates nothing.
-  EXPECT_NE(serial.checksum, run_unicast(n, k, nullptr).checksum);
-
-  ThreadPool pool2(2);
-  expect_identical(serial, run_unicast(n, k, &pool2, &fault), "2 threads");
-  ThreadPool pool8(8);
-  expect_identical(serial, run_unicast(n, k, &pool8, &fault), "8 threads");
-}
-
-TEST(ShardedIdentity, FaultedBroadcastMatchesSerialAtEveryThreadCount) {
   const std::size_t n = 96;
   const std::size_t k = 64;
   const FaultSpec fault = identity_fault_spec();
@@ -175,9 +120,9 @@ TEST(ShardedIdentity, OneWorkerPoolStaysSerial) {
   // plan_shards must fall back to the serial path for a 1-worker pool (the
   // pool is a leaf executor and fork/join to one worker is pure overhead).
   const std::size_t n = 48;
-  const std::uint32_t k = 32;
+  const std::size_t k = 32;
   ThreadPool pool1(1);
-  expect_identical(run_unicast(n, k, nullptr), run_unicast(n, k, &pool1),
+  expect_identical(run_broadcast(n, k, nullptr), run_broadcast(n, k, &pool1),
                    "1 thread");
 }
 

@@ -11,10 +11,13 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "scenarios/scenarios.hpp"
+#include "sim/runner/scenario_cli.hpp"
 #include "sim/runner/scenario_registry.hpp"
 #include "sim/simulator.hpp"
 #include "trace/run_payload.hpp"
@@ -253,6 +256,55 @@ TEST(AlgoAxis, StaticOnlyAlgorithmRejectsDynamicSchedules) {
       run_scenario("single_source", "static:", 0, "spanning_tree:");
   ASSERT_FALSE(ok.tables[0].rows.empty());
   for (const auto& row : ok.tables[0].rows) EXPECT_EQ(row[5], "yes");
+}
+
+/// Runs `dyngossip run ...` in-process; returns (exit code, stderr).
+std::pair<int, std::string> run_cli(std::vector<std::string> words) {
+  ScenarioRegistry registry;
+  register_all_scenarios(registry);
+  words.insert(words.begin(), {"dyngossip", "run"});
+  std::vector<const char*> argv;
+  for (const std::string& w : words) argv.push_back(w.c_str());
+  ::testing::internal::CaptureStdout();
+  ::testing::internal::CaptureStderr();
+  const int code =
+      dyngossip_main(registry, static_cast<int>(argv.size()), argv.data());
+  (void)::testing::internal::GetCapturedStdout();
+  return {code, ::testing::internal::GetCapturedStderr()};
+}
+
+TEST(AlgoAxis, SpanningTreeRejectsAnActiveFaultPlan) {
+  // The static pipeline's invariants assume every payload arrives and no
+  // node crashes: an active --fault plan is a usage error (exit 2), not an
+  // abort inside a pool worker.  An inactive spec runs unchanged.
+  const std::vector<std::string> base = {
+      "single_source", "--quick", "--threads=1", "--algo=spanning_tree:",
+      "--adversary=static:graph=gnp,p=0.3"};
+  for (const char* fault : {"--fault=crash=0.02,recover=0.3",
+                            "--fault=drop=0.1,dup=0.05"}) {
+    std::vector<std::string> words = base;
+    words.emplace_back(fault);
+    const auto [code, err] = run_cli(words);
+    EXPECT_EQ(code, 2) << fault << ": " << err;
+    EXPECT_NE(err.find("spanning_tree"), std::string::npos) << err;
+    EXPECT_NE(err.find("--fault"), std::string::npos) << err;
+  }
+  std::vector<std::string> inactive = base;
+  inactive.emplace_back("--fault=drop=0");
+  EXPECT_EQ(run_cli(inactive).first, 0);
+
+  // Same rows as the fault-free run.
+  ScenarioRegistry registry;
+  register_all_scenarios(registry);
+  const auto rows = [&](const std::string& fault) {
+    ThreadPool pool(1);
+    ScenarioContext ctx(pool, 0, /*quick=*/true);
+    ctx.set_adversary_spec("static:graph=gnp,p=0.3");
+    ctx.set_algo_spec("spanning_tree:");
+    ctx.set_fault_spec(fault);
+    return registry.find("single_source")->run(ctx).tables.at(0).rows;
+  };
+  EXPECT_EQ(rows("drop=0"), rows(""));
 }
 
 TEST(AlgoAxis, ExplicitDefaultAlgoIsDispatchNeutral) {
