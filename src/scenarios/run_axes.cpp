@@ -6,8 +6,6 @@
 
 #include "cache/memo_sweep.hpp"
 #include "common/table.hpp"
-#include "fault/fault_plan.hpp"
-#include "telemetry/round_probe.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_reader.hpp"
 
@@ -29,7 +27,6 @@ RunAxes RunAxes::resolve(const ScenarioContext& ctx) {
     axes.fault_spec_ = FaultSpec::parse(ctx.fault_spec());
     axes.fault_overridden_ = true;
   }
-  axes.trial_timeout_ = ctx.trial_timeout();
   return axes;
 }
 
@@ -148,73 +145,37 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
   }
   const std::size_t trials = ctx.trials_or(1);
 
-  // Observer plane: one pre-allocated probe per trial (jobs fill their own
-  // slot, so pool workers never contend), registered with the sink in
-  // deterministic row/trial order after the sweep.
-  ProbeSink* const sink = ctx.probe_sink();
-  TimelineRecorder* const timeline = ctx.timeline();
-  std::vector<RoundProbe> probes;
-  if (sink != nullptr) {
-    probes.assign(rows.size() * trials, RoundProbe(sink->spec().every));
-  }
-
-  // Keyed trials for the memoized sweep scheduler: each trial's identity is
-  // its canonical (algo × adversary × fault × shape × seed) tuple, so a
-  // warm re-run serves rows straight from the cache.  Attached observers
-  // force cold runs (series must cover every trial); file-backed adversary
-  // families are never cacheable (the key cannot pin the file's content).
+  // Keyed trials: each trial's identity is its canonical
+  // (algo × adversary × fault × shape × seed) tuple, so a warm re-run
+  // serves rows straight from the cache; file-backed adversary families are
+  // never cacheable (the key cannot pin the file's content).
   const std::string fault_text = axes.fault_spec().to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(rows.size() * trials);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  for (const AxisRowSpec& row : rows) {
+    // Row default consulted only when the adversary axis is NOT overridden
+    // (i.e. an --algo-only run over the scenario's own schedule family).
+    const AdversarySpec& adv =
+        axes.adversary_overridden() ? axes.adversary_spec() : row.def;
+    const std::string adv_text = adv.to_string();
     for (std::size_t i = 0; i < trials; ++i) {
-      const AxisRowSpec& row = rows[r];
-      const std::uint64_t seed = seed_base + 37 * row.n + i;
-      const AdversarySpec& adv =
-          axes.adversary_overridden() ? axes.adversary_spec() : row.def;
       KeyedTrial trial;
-      trial.key = make_run_key(algo_text, adv.to_string(), fault_text, row.n,
-                               row.k, row.sources, row.cap, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr &&
-                        cacheable_adversary_family(adv.family);
-      trial.run = [&rows, &axes, &algo, &probes, sink, timeline, trials, seed,
-                   r, i](ThreadPool* engine_pool) {
-        const AxisRowSpec& row = rows[r];
-        // Row default consulted only when the adversary axis is NOT
-        // overridden (i.e. an --algo-only run over the scenario's own
-        // schedule family).
-        const std::unique_ptr<Adversary> adversary =
-            axes.build(row.def, row.n, seed);
-        // Per-trial fault plan, seeded from the trial seed (a spec seed=
-        // pin wins inside the plan) — decisions are position-keyed, so the
-        // outcome is identical whichever parallelism axis runs this trial.
-        FaultPlan plan(axes.fault_spec(), row.n, seed);
-        AlgoBuildContext actx;
-        actx.n = row.n;
-        actx.k = row.k;
-        actx.sources = row.sources;
-        actx.cap = row.cap;
-        actx.seed = seed;
-        actx.pool = engine_pool;
-        actx.faults = &plan;
-        actx.timeout_seconds = axes.trial_timeout();
-        if (sink != nullptr) actx.telemetry.probe = &probes[r * trials + i];
-        actx.telemetry.timeline = timeline;
-        const RunResult res = run_algo(algo, actx, *adversary);
-        return make_cached_result(row.n, actx.k_realized, res);
-      };
+      trial.key = make_run_key(algo_text, adv_text, fault_text, row.n, row.k,
+                               row.sources, row.cap, seed_base + 37 * row.n + i);
+      trial.cacheable = cacheable_adversary_family(adv.family);
+      trial.series = algo_text + " " + adv_text + " n=" + std::to_string(row.n) +
+                     " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));
     }
   }
-  const std::vector<MemoOutcome> out =
-      memoized_sweep(sweep, ctx.cache(), ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title =
       "run axes: " + algo_text + " vs " +
       (axes.adversary_overridden() ? axes.adversary_label()
                                    : std::string("(scenario default schedule)"));
-  if (axes.fault_overridden()) {
+  if (axes.fault_spec().active()) {
     table.title += " under " + axes.fault_spec().to_string();
   }
   // Column order is load-bearing for CI's jq gates: "done" must stay at
@@ -224,9 +185,7 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
                    "trial",     "done",  "messages", "TC(E)",
                    "residual(a=1)", "rounds", "status", "coverage", "checksum"};
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::string adversary_text = axes.adversary_overridden()
-                                           ? axes.adversary_label()
-                                           : rows[r].def.to_string();
+    const std::string& adversary_text = sweep[r * trials].key.adversary;
     for (std::size_t i = 0; i < trials; ++i) {
       const CachedResult& t = out[r * trials + i].row;
       table.rows.push_back(
@@ -239,12 +198,6 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
            TablePrinter::num(static_cast<double>(t.metrics.rounds), 0),
            run_status_name(t.metrics.status),
            TablePrinter::num(t.metrics.coverage, 4), checksum_hex(t.checksum)});
-      if (sink != nullptr) {
-        sink->add_series(algo_text + " " + adversary_text +
-                             " n=" + std::to_string(rows[r].n) +
-                             " trial=" + std::to_string(i),
-                         probes[r * trials + i].samples(), t.metrics);
-      }
     }
   }
   table.note =

@@ -70,15 +70,10 @@ class RunAxes {
     return algo_overridden_ ? algo_spec_ : def;
   }
 
-  [[nodiscard]] bool fault_overridden() const noexcept {
-    return fault_overridden_;
-  }
-  /// The fault override spec (inactive default when !fault_overridden()).
+  /// The fault override spec (the inactive default when --fault is absent).
   [[nodiscard]] const FaultSpec& fault_spec() const noexcept {
     return fault_spec_;
   }
-  /// Per-trial wall-clock budget in seconds (0: none), from the context.
-  [[nodiscard]] double trial_timeout() const noexcept { return trial_timeout_; }
 
   /// Builds the effective adversary: the override when set, else `def`.
   /// `seed` is the trial seed (an explicit seed= in either spec wins).
@@ -97,7 +92,6 @@ class RunAxes {
   AdversarySpec adversary_spec_;
   AlgoSpec algo_spec_;
   FaultSpec fault_spec_;
-  double trial_timeout_ = 0.0;
 };
 
 /// Run shape pinned by a file-backed adversary override (trace, scripted,

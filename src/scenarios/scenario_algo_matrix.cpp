@@ -15,17 +15,15 @@
 // adversary set with one schedule.  Pairs whose algorithm demands a static
 // schedule (spanning_tree) are crossed only with the static column.
 
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "cache/memo_sweep.hpp"
 #include "common/table.hpp"
+#include "fault/fault_spec.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
-#include "sim/runner/parallel.hpp"
-#include "telemetry/round_probe.hpp"
-#include "trace/run_payload.hpp"
 #include "trace/trace_format.hpp"
 
 namespace dyngossip {
@@ -110,56 +108,25 @@ ScenarioResult run(const ScenarioContext& ctx) {
     throw AlgoSpecError(skip_why);
   }
 
-  struct TrialOut {
-    std::uint64_t k = 0;
-    bool ok = false;
-    double msgs = 0, rounds = 0, amortized = 0;
-    std::uint64_t checksum = 0;
-    RunMetrics metrics;  ///< full totals for the probe reconciliation row
-  };
-  std::vector<std::vector<TrialOut>> out(cells.size(), std::vector<TrialOut>(trials));
-
-  // Observer plane: one pre-allocated probe per cell trial, registered in
-  // deterministic (cell, trial) order after the batch.
-  ProbeSink* const sink = ctx.probe_sink();
-  TimelineRecorder* const timeline = ctx.timeline();
-  std::vector<RoundProbe> probes;
-  if (sink != nullptr) {
-    probes.assign(cells.size() * trials, RoundProbe(sink->spec().every));
-  }
-
-  JobBatch batch;
-  for (std::size_t c = 0; c < cells.size(); ++c) {
+  // Keyed trials in (cell, trial) order.  The seed depends on (n, trial)
+  // only — every algorithm family in an adversary column faces the SAME
+  // oblivious schedule.
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(cells.size() * trials);
+  for (const Cell& cell : cells) {
+    const std::string algo_text = cell.algo->to_string();
+    const std::string sched_text = cell.sched->to_string();
     for (std::size_t i = 0; i < trials; ++i) {
-      batch.add([&out, &cells, &probes, sink, timeline, n, k, cap, trials, c,
-                 i] {
-        const Cell& cell = cells[c];
-        // The seed depends on (n, trial) only — every algorithm family in
-        // an adversary column faces the SAME oblivious schedule.
-        const std::uint64_t seed = 47'000 + 37 * n + i;
-        const std::unique_ptr<Adversary> adversary =
-            build_adversary(*cell.sched, n, seed);
-        AlgoBuildContext actx;
-        actx.n = n;
-        actx.k = k;
-        actx.sources = 4;
-        actx.cap = cap;
-        actx.seed = seed;
-        if (sink != nullptr) actx.telemetry.probe = &probes[c * trials + i];
-        actx.telemetry.timeline = timeline;
-        const RunResult res = run_algo(*cell.algo, actx, *adversary);
-        TrialOut& t = out[c][i];
-        t.k = actx.k_realized;
-        t.ok = res.completed;
-        t.msgs = static_cast<double>(res.metrics.total_messages());
-        t.rounds = static_cast<double>(res.rounds);
-        t.amortized = res.amortized(actx.k_realized);
-        t.checksum = run_payload_checksum(n, actx.k_realized, res);
-        t.metrics = res.metrics;
-      });
+      KeyedTrial trial;
+      trial.key = make_run_key(algo_text, sched_text, fault_text, n, k, 4, cap,
+                               47'000 + 37 * n + i);
+      trial.cacheable = cacheable_adversary_family(cell.sched->family);
+      trial.series = algo_text + " " + sched_text + " trial=" + std::to_string(i);
+      sweep.push_back(std::move(trial));
     }
   }
-  batch.run(ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title = "algorithm x adversary matrix (n=" + std::to_string(n) +
@@ -170,20 +137,16 @@ ScenarioResult run(const ScenarioContext& ctx) {
   for (std::size_t c = 0; c < cells.size(); ++c) {
     const Cell& cell = cells[c];
     for (std::size_t i = 0; i < trials; ++i) {
-      const TrialOut& t = out[c][i];
-      table.rows.push_back({cell.algo->to_string(),
-                            algo_engine_name(cell.family->engine),
-                            cell.sched->to_string(), std::to_string(i),
-                            t.ok ? "yes" : "no", TablePrinter::num(t.msgs, 0),
-                            TablePrinter::num(t.rounds, 0),
-                            TablePrinter::num(t.amortized, 1),
-                            checksum_hex(t.checksum)});
-      if (sink != nullptr) {
-        sink->add_series(cell.algo->to_string() + " " +
-                             cell.sched->to_string() +
-                             " trial=" + std::to_string(i),
-                         probes[c * trials + i].samples(), t.metrics);
-      }
+      const KeyedTrial& trial = sweep[c * trials + i];
+      const CachedResult& t = out[c * trials + i].row;
+      table.rows.push_back(
+          {trial.key.algo, algo_engine_name(cell.family->engine),
+           trial.key.adversary, std::to_string(i),
+           t.metrics.completed ? "yes" : "no",
+           TablePrinter::num(static_cast<double>(t.metrics.total_messages()), 0),
+           TablePrinter::num(static_cast<double>(t.metrics.rounds), 0),
+           TablePrinter::num(t.metrics.amortized(t.k_realized), 1),
+           checksum_hex(t.checksum)});
     }
   }
   table.note =

@@ -23,19 +23,14 @@
 // gates on it.
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "common/spec.hpp"
+#include "cache/memo_sweep.hpp"
 #include "common/table.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
-#include "sim/runner/parallel.hpp"
-#include "telemetry/round_probe.hpp"
-#include "trace/run_payload.hpp"
 #include "trace/trace_format.hpp"
 
 namespace dyngossip {
@@ -87,98 +82,56 @@ ScenarioResult run(const ScenarioContext& ctx) {
       .set("churn", static_cast<std::uint64_t>(std::max<std::size_t>(1, n / 8)))
       .set("sigma", std::uint64_t{3});
 
-  struct TrialOut {
-    std::uint64_t k = 0;
-    bool ok = false;
-    RunStatus status = RunStatus::kRoundCap;
-    double coverage = 0, msgs = 0, rounds = 0;
-    std::uint64_t checksum = 0;
-    RunMetrics metrics;  ///< full totals for the probe reconciliation row
+  // Keyed trials in series registration order (algo, regime, trial).  The
+  // same (n, trial) seed drives schedule AND fault stream across every cell,
+  // so regime comparisons are paired, and the zero-fault cell's plan is
+  // inactive (exact fault-free code path).  Each (algo, trial) also gets a
+  // fault-free control keyed with an empty fault spec: it runs with no
+  // FaultPlan object at all, is never cached, and registers no series.
+  const std::string sched_text = sched.to_string();
+  const auto trial_key = [&](std::size_t a, const std::string& fault,
+                             std::size_t i) {
+    return make_run_key(algos[a].to_string(), sched_text, fault, n, k, 4, cap,
+                        91'000 + 37 * n + i);
   };
-  // out[a][g][i]: algorithm a, regime g, trial i.  base[a][i]: the
-  // fault-free (no plan at all) reference checksum for the zero-fault gate.
-  std::vector<std::vector<std::vector<TrialOut>>> out(
-      algos.size(), std::vector<std::vector<TrialOut>>(
-                        regimes.size(), std::vector<TrialOut>(trials)));
-  std::vector<std::vector<std::uint64_t>> base(
-      algos.size(), std::vector<std::uint64_t>(trials, 0));
-
-  const auto trial_seed = [n](std::size_t i) {
-    return static_cast<std::uint64_t>(91'000 + 37 * n + i);
-  };
-
-  // Observer plane: one pre-allocated probe per faulted trial (the
-  // fault-free baselines are controls, not series), registered in
-  // deterministic (algo, regime, trial) order after the batch.
-  ProbeSink* const sink = ctx.probe_sink();
-  TimelineRecorder* const timeline = ctx.timeline();
-  std::vector<RoundProbe> probes;
-  if (sink != nullptr) {
-    probes.assign(algos.size() * regimes.size() * trials,
-                  RoundProbe(sink->spec().every));
-  }
-  const auto probe_slot = [&regimes, trials](std::size_t a, std::size_t g,
-                                             std::size_t i) {
-    return (a * regimes.size() + g) * trials + i;
-  };
-
-  JobBatch batch;
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(algos.size() * (regimes.size() + 1) * trials);
   for (std::size_t a = 0; a < algos.size(); ++a) {
-    for (std::size_t i = 0; i < trials; ++i) {
-      // Fault-free baseline: no FaultPlan object at all (the control for
-      // the inactive-plan byte-identity gate).
-      batch.add([&base, &algos, &sched, &trial_seed, n, k, cap, a, i] {
-        const std::uint64_t seed = trial_seed(i);
-        const std::unique_ptr<Adversary> adversary =
-            build_adversary(sched, n, seed);
-        AlgoBuildContext actx;
-        actx.n = n;
-        actx.k = k;
-        actx.cap = cap;
-        actx.seed = seed;
-        const RunResult res = run_algo(algos[a], actx, *adversary);
-        base[a][i] = run_payload_checksum(n, actx.k_realized, res);
-      });
-      for (std::size_t g = 0; g < regimes.size(); ++g) {
-        batch.add([&out, &algos, &regimes, &sched, &trial_seed, &probes,
-                   &probe_slot, sink, timeline, n, k, cap, a, g, i] {
-          const Regime& regime = regimes[g];
-          const std::uint64_t seed = trial_seed(i);
-          // Same (n, trial) seed for schedule AND fault stream across every
-          // cell: regime comparisons are paired, and the zero-fault cell's
-          // plan is inactive (exact fault-free code path).
-          const std::unique_ptr<Adversary> adversary =
-              build_adversary(sched, n, seed);
-          FaultSpec fspec;
-          fspec.drop = regime.drop;
-          fspec.crash = regime.crash;
-          fspec.recover = regime.recover;
-          FaultPlan plan(fspec, n, seed);
-          AlgoBuildContext actx;
-          actx.n = n;
-          actx.k = k;
-          actx.cap = cap;
-          actx.seed = seed;
-          actx.faults = &plan;
-          if (sink != nullptr) {
-            actx.telemetry.probe = &probes[probe_slot(a, g, i)];
-          }
-          actx.telemetry.timeline = timeline;
-          const RunResult res = run_algo(algos[a], actx, *adversary);
-          TrialOut& t = out[a][g][i];
-          t.k = actx.k_realized;
-          t.ok = res.completed;
-          t.status = res.metrics.status;
-          t.coverage = res.metrics.coverage;
-          t.msgs = static_cast<double>(res.metrics.total_messages());
-          t.rounds = static_cast<double>(res.rounds);
-          t.checksum = run_payload_checksum(n, actx.k_realized, res);
-          t.metrics = res.metrics;
-        });
+    for (const Regime& regime : regimes) {
+      FaultSpec fspec;
+      fspec.drop = regime.drop;
+      fspec.crash = regime.crash;
+      fspec.recover = regime.recover;
+      for (std::size_t i = 0; i < trials; ++i) {
+        KeyedTrial trial;
+        trial.key = trial_key(a, fspec.to_string(), i);
+        trial.cacheable = true;
+        trial.series = algos[a].to_string() +
+                       " drop=" + TablePrinter::num(regime.drop, 3) +
+                       " crash=" + TablePrinter::num(regime.crash, 3) +
+                       " trial=" + std::to_string(i);
+        sweep.push_back(std::move(trial));
       }
     }
   }
-  batch.run(ctx.pool());
+  const std::size_t first_control = sweep.size();
+  for (std::size_t a = 0; a < algos.size(); ++a) {
+    for (std::size_t i = 0; i < trials; ++i) {
+      KeyedTrial control;
+      control.key = trial_key(a, "", i);
+      sweep.push_back(std::move(control));
+    }
+  }
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
+  // out[cell(a, g, i)]: algorithm a, regime g, trial i; base(a, i): the
+  // fault-free control's checksum for the zero-fault gate.
+  const auto cell = [&](std::size_t a, std::size_t g,
+                        std::size_t i) -> const CachedResult& {
+    return out[(a * regimes.size() + g) * trials + i].row;
+  };
+  const auto base = [&](std::size_t a, std::size_t i) {
+    return out[first_control + a * trials + i].row.checksum;
+  };
 
   ScenarioTable grid;
   grid.title = "fault sweep: completion under drop x crash (n=" +
@@ -198,21 +151,14 @@ ScenarioResult run(const ScenarioContext& ctx) {
       TraceChecksum fold;
       bool zero_fault_matches = true;
       for (std::size_t i = 0; i < trials; ++i) {
-        const TrialOut& t = out[a][g][i];
-        done += t.ok ? 1 : 0;
-        coverage += t.coverage;
-        msgs += t.msgs;
-        rounds += t.rounds;
-        k_real = t.k;
+        const CachedResult& t = cell(a, g, i);
+        done += t.metrics.completed ? 1 : 0;
+        coverage += t.metrics.coverage;
+        msgs += static_cast<double>(t.metrics.total_messages());
+        rounds += static_cast<double>(t.metrics.rounds);
+        k_real = t.k_realized;
         fold.fold(t.checksum);
-        if (t.checksum != base[a][i]) zero_fault_matches = false;
-        if (sink != nullptr) {
-          sink->add_series(
-              algos[a].to_string() + " drop=" + TablePrinter::num(regime.drop, 3) +
-                  " crash=" + TablePrinter::num(regime.crash, 3) +
-                  " trial=" + std::to_string(i),
-              probes[probe_slot(a, g, i)].samples(), t.metrics);
-        }
+        if (t.checksum != base(a, i)) zero_fault_matches = false;
       }
       const auto ft = static_cast<double>(trials);
       const bool zero_fault = regime.drop == 0.0 && regime.crash == 0.0;
@@ -256,8 +202,8 @@ ScenarioResult run(const ScenarioContext& ctx) {
   for (std::size_t g = 0; g < regimes.size(); ++g) {
     std::size_t ss = 0, fl = 0;
     for (std::size_t i = 0; i < trials; ++i) {
-      ss += out[a_ss][g][i].ok ? 1 : 0;
-      fl += out[a_fl][g][i].ok ? 1 : 0;
+      ss += cell(a_ss, g, i).metrics.completed ? 1 : 0;
+      fl += cell(a_fl, g, i).metrics.completed ? 1 : 0;
     }
     const bool ahead = fl > ss;
     any_ahead = any_ahead || ahead;

@@ -12,46 +12,19 @@
 // with the churn rate, and the competitive residual stays bounded by
 // O(n² + nk).
 
-#include <memory>
 #include <string>
 #include <vector>
 
+#include "cache/memo_sweep.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "fault/fault_spec.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/runner/parallel.hpp"
-#include "sim/runner/shard_schedule.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
-
-struct TrialOut {
-  bool ok = false;
-  double msgs = 0, tc = 0, norm = 0, rounds = 0;
-};
-
-TrialOut run_trial(std::size_t n, std::uint32_t k, Round sigma, double churn_rate,
-                   std::size_t target_edges, Round cap, std::uint64_t seed,
-                   ThreadPool* engine_pool) {
-  AdversarySpec spec{"sigma", {}};
-  spec.set("edges", static_cast<std::uint64_t>(target_edges))
-      .set("turnover", churn_rate)
-      .set("interval", static_cast<std::uint64_t>(sigma));
-  const std::unique_ptr<Adversary> adversary = build_adversary(spec, n, seed);
-  const RunResult r =
-      run_single_source(n, k, /*source=*/0, *adversary, cap,
-                        {.pool = engine_pool, .telemetry = {}});
-  TrialOut out;
-  out.ok = r.completed;
-  out.msgs = static_cast<double>(r.metrics.unicast.total());
-  out.tc = static_cast<double>(r.metrics.tc);
-  out.norm = r.metrics.competitive_residual(1.0) / bounds::single_source_messages(n, k);
-  out.rounds = static_cast<double>(r.rounds);
-  return out;
-}
 
 ScenarioResult run(const ScenarioContext& ctx) {
   const bool quick = ctx.quick();
@@ -129,28 +102,28 @@ ScenarioResult run(const ScenarioContext& ctx) {
     }
   }
 
-  std::vector<std::vector<TrialOut>> out(rows.size(), std::vector<TrialOut>(seeds));
-  const auto trial = [&rows](std::size_t r, std::size_t i, ThreadPool* pool) {
-    const RowSpec& spec = rows[r];
-    const std::uint64_t seed = 11'000 + 17 * spec.n + 5 * spec.sigma + i +
-                               static_cast<std::uint64_t>(100.0 * spec.churn_rate);
-    return run_trial(spec.n, spec.k, spec.sigma, spec.churn_rate,
-                     spec.target_edges, spec.cap, seed, pool);
-  };
-  // One parallelism axis per table (sim/runner/shard_schedule.hpp): a lone
-  // trial runs here with the pool handed to its engine; anything more fans
-  // out across the pool.
-  if (prefer_intra_round_sharding(rows.size() * seeds)) {
-    out[0][0] = trial(0, 0, &ctx.pool());
-  } else {
-    JobBatch batch;
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      for (std::size_t i = 0; i < seeds; ++i) {
-        batch.add([&out, &trial, r, i] { out[r][i] = trial(r, i, nullptr); });
-      }
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(rows.size() * seeds);
+  for (const RowSpec& spec : rows) {
+    AdversarySpec adv{"sigma", {}};
+    adv.set("edges", static_cast<std::uint64_t>(spec.target_edges))
+        .set("turnover", spec.churn_rate)
+        .set("interval", static_cast<std::uint64_t>(spec.sigma));
+    const std::string adv_text = adv.to_string();
+    for (std::size_t i = 0; i < seeds; ++i) {
+      KeyedTrial trial;
+      trial.key = make_run_key(
+          "single_source", adv_text, fault_text, spec.n, spec.k, 1, spec.cap,
+          11'000 + 17 * spec.n + 5 * spec.sigma + i +
+              static_cast<std::uint64_t>(100.0 * spec.churn_rate));
+      trial.cacheable = true;
+      trial.series = "sigma_stable_churn " + adv_text +
+                     " n=" + std::to_string(spec.n) + " trial=" + std::to_string(i);
+      sweep.push_back(std::move(trial));
     }
-    batch.run(ctx.pool());
   }
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title =
@@ -170,12 +143,13 @@ ScenarioResult run(const ScenarioContext& ctx) {
     RunningStat msgs, tc, norm, rounds;
     std::size_t completed = 0;
     for (std::size_t i = 0; i < seeds; ++i) {
-      const TrialOut& t = out[r][i];
-      msgs.add(t.msgs);
-      tc.add(t.tc);
-      norm.add(t.norm);
-      rounds.add(t.rounds);
-      completed += t.ok ? 1 : 0;
+      const RunMetrics& m = out[r * seeds + i].row.metrics;
+      msgs.add(static_cast<double>(m.unicast.total()));
+      tc.add(static_cast<double>(m.tc));
+      norm.add(m.competitive_residual(1.0) /
+               bounds::single_source_messages(spec.n, spec.k));
+      rounds.add(static_cast<double>(m.rounds));
+      completed += m.completed ? 1 : 0;
     }
     const auto budget = static_cast<std::size_t>(
         spec.churn_rate * static_cast<double>(spec.target_edges));

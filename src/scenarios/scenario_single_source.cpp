@@ -10,7 +10,7 @@
 // scenario's default churn family) instead of the default three-regime
 // grid.
 
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "cache/memo_sweep.hpp"
@@ -20,8 +20,6 @@
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
-#include "telemetry/round_probe.hpp"
 
 namespace dyngossip {
 namespace {
@@ -54,18 +52,6 @@ AdversarySpec case_spec(const Case& c, std::size_t n, std::size_t target_edges) 
   spec.set("edges", static_cast<std::uint64_t>(target_edges))
       .set("churn", static_cast<std::uint64_t>(n / 8));
   return spec;
-}
-
-CachedResult run_trial(const Case& c, std::size_t n, std::uint32_t k,
-                       Round horizon, std::size_t target_edges,
-                       std::uint64_t seed, ThreadPool* engine_pool,
-                       Telemetry telemetry) {
-  const std::unique_ptr<Adversary> adversary =
-      build_adversary(case_spec(c, n, target_edges), n, seed);
-  const RunResult r =
-      run_single_source(n, k, 0, *adversary, horizon,
-                        {.pool = engine_pool, .telemetry = telemetry});
-  return make_cached_result(n, k, r);
 }
 
 ScenarioResult run(const ScenarioContext& ctx) {
@@ -129,49 +115,28 @@ ScenarioResult run(const ScenarioContext& ctx) {
     }
   }
 
-  // Observer plane: one pre-allocated probe per trial, registered with the
-  // sink in deterministic row/trial order after the sweep.
-  ProbeSink* const sink = ctx.probe_sink();
-  TimelineRecorder* const timeline = ctx.timeline();
-  std::vector<RoundProbe> probes;
-  if (sink != nullptr) {
-    probes.assign(rows.size() * seeds, RoundProbe(sink->spec().every));
-  }
-
-  // The memoized sweep: every trial is keyed by its canonical
+  // Keyed trials: every trial is keyed by its canonical
   // (algo × adversary × shape × seed) tuple, so a --cache= re-run serves
-  // the grid from disk and skips straight to aggregation.  Attached
-  // observers force cold runs (series must cover every trial).
+  // the grid from disk and skips straight to aggregation.
   const std::string fault_text = FaultSpec{}.to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(rows.size() * seeds);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  for (const RowSpec& spec : rows) {
+    // p=1 never completes: evaluate the bound on a shorter horizon.
+    const Round horizon =
+        spec.c.cut_p >= 1.0 ? static_cast<Round>(50 * spec.n) : spec.cap;
     for (std::size_t i = 0; i < seeds; ++i) {
-      const RowSpec& spec = rows[r];
-      const std::uint64_t seed = 9'000 + 13 * spec.n + i;
-      // p=1 never completes: evaluate the bound on a shorter horizon (the
-      // horizon the trial really runs is what the key must pin).
-      const Round horizon =
-          spec.c.cut_p >= 1.0 ? static_cast<Round>(50 * spec.n) : spec.cap;
       KeyedTrial trial;
       trial.key = make_run_key(
           "single_source", case_spec(spec.c, spec.n, spec.target_edges).to_string(),
-          fault_text, spec.n, spec.k, 1, horizon, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr;
-      trial.run = [&rows, &probes, sink, timeline, seeds, seed, horizon, r,
-                   i](ThreadPool* engine_pool) {
-        const RowSpec& spec = rows[r];
-        Telemetry telemetry;
-        if (sink != nullptr) telemetry.probe = &probes[r * seeds + i];
-        telemetry.timeline = timeline;
-        return run_trial(spec.c, spec.n, spec.k, horizon, spec.target_edges,
-                         seed, engine_pool, telemetry);
-      };
+          fault_text, spec.n, spec.k, 1, horizon, 9'000 + 13 * spec.n + i);
+      trial.cacheable = true;
+      trial.series = "single_source " + std::string(spec.c.name) +
+                     " n=" + std::to_string(spec.n) + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));
     }
   }
-  const std::vector<MemoOutcome> out =
-      memoized_sweep(sweep, ctx.cache(), ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title =
@@ -200,12 +165,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
       norm.add(res / bounds::single_source_messages(spec.n, spec.k));
       rounds.add(static_cast<double>(m.rounds));
       completed += m.completed ? 1 : 0;
-      if (sink != nullptr) {
-        sink->add_series("single_source " + std::string(spec.c.name) +
-                             " n=" + std::to_string(spec.n) +
-                             " trial=" + std::to_string(i),
-                         probes[r * seeds + i].samples(), m);
-      }
     }
     table.rows.push_back(
         {spec.c.name, std::to_string(spec.n), std::to_string(spec.k),

@@ -34,7 +34,6 @@
 #include "graph/graph.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
-#include "telemetry/round_probe.hpp"
 #include "trace/trace_format.hpp"
 #include "trace/trace_writer.hpp"
 
@@ -65,25 +64,6 @@ std::string ring_base_trace(std::size_t n, Round rounds) {
   return path.string();
 }
 
-/// One (algo × adversary × shape × seed) trial dispatched through run_algo
-/// — the same entry point the axis tables and trace record/replay use.
-CachedResult run_pair_trial(const AlgoSpec& algo, const AdversarySpec& adv,
-                            std::size_t n, std::uint32_t k, Round cap,
-                            std::uint64_t seed, ThreadPool* engine_pool,
-                            Telemetry telemetry) {
-  const std::unique_ptr<Adversary> adversary = build_adversary(adv, n, seed);
-  AlgoBuildContext actx;
-  actx.n = n;
-  actx.k = k;
-  actx.sources = 1;
-  actx.cap = cap;
-  actx.seed = seed;
-  actx.pool = engine_pool;
-  actx.telemetry = telemetry;
-  const RunResult res = run_algo(algo, actx, *adversary);
-  return make_cached_result(n, actx.k_realized, res);
-}
-
 /// The engine tag of an algorithm spec ("unicast" / "broadcast" / "async").
 const char* engine_of(const AlgoSpec& algo) {
   return algo_engine_name(AlgoRegistry::global().find(algo.family)->engine);
@@ -104,40 +84,23 @@ ScenarioTable grid_table(const ScenarioContext& ctx,
                          const std::vector<GridCell>& cells,
                          std::size_t trials, std::uint64_t seed_base,
                          std::string title, std::string note) {
-  ProbeSink* const sink = ctx.probe_sink();
-  TimelineRecorder* const timeline = ctx.timeline();
-  std::vector<RoundProbe> probes;
-  if (sink != nullptr) {
-    probes.assign(cells.size() * trials, RoundProbe(sink->spec().every));
-  }
-
   const std::string fault_text = FaultSpec{}.to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(cells.size() * trials);
-  for (std::size_t c = 0; c < cells.size(); ++c) {
+  for (const GridCell& cell : cells) {
+    const std::string algo_text = cell.algo.to_string();
     for (std::size_t i = 0; i < trials; ++i) {
-      const GridCell& cell = cells[c];
-      const std::uint64_t seed = seed_base + 37 * cell.n + i;
       KeyedTrial trial;
-      trial.key =
-          make_run_key(cell.algo.to_string(), cell.adv.to_string(), fault_text,
-                       cell.n, cell.k, 1, cell.cap, seed);
-      trial.cacheable = sink == nullptr && timeline == nullptr &&
-                        cacheable_adversary_family(cell.adv.family);
-      trial.run = [&cells, &probes, sink, timeline, trials, seed, c,
-                   i](ThreadPool* engine_pool) {
-        const GridCell& cell = cells[c];
-        Telemetry telemetry;
-        if (sink != nullptr) telemetry.probe = &probes[c * trials + i];
-        telemetry.timeline = timeline;
-        return run_pair_trial(cell.algo, cell.adv, cell.n, cell.k, cell.cap,
-                              seed, engine_pool, telemetry);
-      };
+      trial.key = make_run_key(algo_text, cell.adv.to_string(), fault_text,
+                               cell.n, cell.k, 1, cell.cap,
+                               seed_base + 37 * cell.n + i);
+      trial.cacheable = cacheable_adversary_family(cell.adv.family);
+      trial.series = "sync_vs_async " + algo_text + " " + cell.label +
+                     " n=" + std::to_string(cell.n) + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));
     }
   }
-  const std::vector<MemoOutcome> out =
-      memoized_sweep(sweep, ctx.cache(), ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title = std::move(title);
@@ -160,12 +123,6 @@ ScenarioTable grid_table(const ScenarioContext& ctx,
            TablePrinter::num(static_cast<double>(t.metrics.rounds), 0),
            run_status_name(t.metrics.status),
            TablePrinter::num(t.metrics.coverage, 4), checksum_hex(t.checksum)});
-      if (sink != nullptr) {
-        sink->add_series("sync_vs_async " + cell.algo.to_string() + " " +
-                             cell.label + " n=" + std::to_string(cell.n) +
-                             " trial=" + std::to_string(i),
-                         probes[c * trials + i].samples(), t.metrics);
-      }
     }
   }
   table.note = std::move(note);

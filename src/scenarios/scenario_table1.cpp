@@ -1,13 +1,14 @@
 // Scenario `table1` — Table 1 (Section 3.2.2): amortized message complexity
 // of the oblivious algorithm for the paper's four token-count regimes.
 //
-// The per-row sweep keeps sweep_seeds' SplitMix64
-// seed derivation (via derive_sweep_seeds) and folds samples in trial order
-// with Summary::of, so the statistics are bit-identical to the serial bench
-// at any thread count.  The default churn schedule opts into the global
-// --adversary=/--trace= axis (the oblivious analysis needs an oblivious
-// schedule, but probing it against others is exactly what the axis is for;
-// a trace override pins n to the recording).
+// Each row's trial seeds come from a SplitMix64 chain on the row's base
+// seed, every trial runs as one JobBatch job, and samples fold in trial order
+// with Summary::of, so the statistics are bit-identical at any thread count.
+// The trials are not keyed: each row labels its tokens with its own
+// TokenSpace, which a RunKey cannot name.  The default churn schedule opts
+// into the global --adversary=/--trace= axis (the oblivious analysis needs
+// an oblivious schedule, but probing it against others is exactly what the
+// axis is for; a trace override pins n to the recording).
 
 #include <algorithm>
 #include <memory>
@@ -15,13 +16,13 @@
 
 #include "adversary/registry.hpp"
 #include "common/mathx.hpp"
+#include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
 #include "sim/runner/parallel.hpp"
-#include "sim/runner/parallel_sweep.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/round_probe.hpp"
 
@@ -105,10 +106,9 @@ ScenarioResult run(const ScenarioContext& ctx) {
 
   JobBatch batch;
   for (std::size_t r = 0; r < rows.size(); ++r) {
-    const std::vector<std::uint64_t> trial_seeds =
-        derive_sweep_seeds(seeds, 1000 + rows[r].n * 7 + rows[r].k);
+    std::uint64_t chain = 1000 + rows[r].n * 7 + rows[r].k;
     for (std::size_t i = 0; i < seeds; ++i) {
-      const std::uint64_t seed = trial_seeds[i];
+      const std::uint64_t seed = splitmix64(chain);
       batch.add([&out, &rows, &axes, &probes, sink, timeline, seeds, r, i,
                  seed] {
         const RowSpec& spec = rows[r];

@@ -7,7 +7,6 @@
 #include "adversary/registry.hpp"
 #include "algo/registry.hpp"
 #include "cache/memo_sweep.hpp"
-#include "fault/fault_plan.hpp"
 #include "fault/fault_spec.hpp"
 
 namespace dyngossip {
@@ -81,30 +80,24 @@ namespace {
 /// the `dyngossip run` tables byte-for-byte.  Throws with a client-facing
 /// message.
 struct ResolvedSweep {
-  AlgoSpec algo;
-  AdversarySpec adversary;
-  FaultSpec fault;
+  std::string adversary_family;
   std::string algo_text;
   std::string adversary_text;
   std::string fault_text;
 };
 
 [[nodiscard]] ResolvedSweep resolve_sweep(const SweepRequest& req) {
-  ResolvedSweep r;
-  r.algo = AlgoSpec::parse(req.algo);
-  AlgoRegistry::global().validate(r.algo);
-  r.adversary = AdversarySpec::parse(req.adversary);
-  AdversaryRegistry::global().validate(r.adversary);
-  r.fault = FaultSpec::parse(req.fault);
+  const AlgoSpec algo = AlgoSpec::parse(req.algo);
+  AlgoRegistry::global().validate(algo);
+  const AdversarySpec adversary = AdversarySpec::parse(req.adversary);
+  AdversaryRegistry::global().validate(adversary);
+  const std::string fault_text = FaultSpec::parse(req.fault).to_string();
   std::string why;
-  if (!algo_schedule_compatible(*AlgoRegistry::global().find(r.algo.family),
-                                r.adversary, &why)) {
+  if (!algo_schedule_compatible(*AlgoRegistry::global().find(algo.family),
+                                adversary, &why)) {
     throw AlgoSpecError(why);
   }
-  r.algo_text = r.algo.to_string();
-  r.adversary_text = r.adversary.to_string();
-  r.fault_text = r.fault.to_string();
-  return r;
+  return {adversary.family, algo.to_string(), adversary.to_string(), fault_text};
 }
 
 }  // namespace
@@ -119,7 +112,7 @@ void SweepService::run_sweep(
     emit(encode_error(e.what()));
     return;
   }
-  const bool cacheable = cacheable_adversary_family(sweep.adversary.family);
+  const bool cacheable = cacheable_adversary_family(sweep.adversary_family);
 
   // One slot per trial, resolved in admission order.  `pending` is null for
   // rows served straight from the cache.
@@ -182,36 +175,15 @@ void SweepService::run_sweep(
     ++misses;
 
     const std::shared_ptr<Pending> pending = slot.pending;
-    const std::uint64_t digest = key.digest();
     // The trial body (engines stay serial: the pool's workers are busy
     // running tickets, so intra-round sharding would nest the pool).
-    scheduler_.enqueue(session, [this, pending, digest, sweep, req, cacheable,
-                                 seed = slot.seed] {
+    scheduler_.enqueue(session, [this, pending, key, cacheable] {
       CachedResult row;
       std::string error;
       try {
-        const std::unique_ptr<Adversary> adversary =
-            AdversaryRegistry::global().build(sweep.adversary, [&] {
-              AdversaryBuildContext actx;
-              actx.n = req.n;
-              actx.seed = seed;
-              return actx;
-            }());
-        FaultPlan plan(sweep.fault, req.n, seed);
-        AlgoBuildContext actx;
-        actx.n = req.n;
-        actx.k = req.k;
-        actx.sources = req.sources;
-        actx.cap = req.cap;
-        actx.seed = seed;
-        actx.faults = &plan;
-        const RunResult res = run_algo(sweep.algo, actx, *adversary);
-        row = make_cached_result(req.n, actx.k_realized, res);
+        row = run_keyed(key, RunOptions{});
         if (cacheable && cache_ != nullptr &&
             cache_should_store(row.metrics.status)) {
-          RunKey key = make_run_key(sweep.algo_text, sweep.adversary_text,
-                                    sweep.fault_text, req.n, req.k,
-                                    req.sources, req.cap, seed);
           cache_->store(key, row);
         }
       } catch (const std::exception& e) {
@@ -219,7 +191,7 @@ void SweepService::run_sweep(
       }
       if (cacheable) {
         std::lock_guard<std::mutex> lock(inflight_mu_);
-        const auto it = inflight_.find(digest);
+        const auto it = inflight_.find(key.digest());
         if (it != inflight_.end() && it->second == pending) {
           inflight_.erase(it);
         }

@@ -20,8 +20,8 @@ struct RunOptions {
   /// send/receive hooks, and the engine must run on a non-pool thread: the
   /// pool is a leaf executor (see sim/runner/thread_pool.hpp), so hand
   /// engines a pool only when trials are NOT already parallelized across it
-  /// (sim/runner/shard_schedule.hpp implements that policy).  Results are
-  /// bit-identical to the serial engine at any thread count.
+  /// (memoized_sweep in cache/memo_sweep.cpp implements that policy).
+  /// Results are bit-identical to the serial engine at any thread count.
   ThreadPool* pool = nullptr;
   /// Per-trial fault plan (not owned; multi-phase executions share one, so
   /// liveness history is continuous across phases).  Null or inactive makes

@@ -9,21 +9,20 @@
 #include <memory>
 #include <vector>
 
-#include "adversary/churn.hpp"
 #include "adversary/registry.hpp"
 #include "algo/registry.hpp"
 #include "cache/cache_cli.hpp"
+#include "cache/memo_sweep.hpp"
 #include "cache/result_cache.hpp"
 #include "common/cli.hpp"
 #include "common/provenance.hpp"
+#include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "fault/fault_spec.hpp"
 #include "metrics/accounting.hpp"
 #include "serve/serve_cli.hpp"
 #include "sim/runner/demo_registry.hpp"
 #include "sim/runner/emit.hpp"
-#include "sim/runner/parallel_sweep.hpp"
-#include "sim/simulator.hpp"
-#include "sim/sweep.hpp"
 #include "telemetry/probe_spec.hpp"
 #include "telemetry/round_probe.hpp"
 #include "telemetry/timeline.hpp"
@@ -681,44 +680,45 @@ int cmd_speedup(const CliArgs& args) {
   const double min_speedup = args.get_double("min", 0.0);
 
   // A representative paper workload: Algorithm 1 under churn, one full run
-  // per trial.  Self-contained per call, so safe at any thread count; the
-  // status/coverage slots are keyed by the trial's SplitMix64-derived seed
-  // (seeds are distinct, each trial owns one slot), so parallel writes never
-  // race and the serial pass simply rewrites identical values.
+  // per trial, seeded by a SplitMix64 chain.  The same keyed trials run
+  // through the scenario executor twice — on a 1-worker pool, then on an
+  // N-worker pool — and their samples must fold bit-identically.
   constexpr std::uint64_t kBaseSeed = 0x5eedfeed;
   const auto k = static_cast<std::uint32_t>(2 * n);
-  const std::vector<std::uint64_t> trial_seeds =
-      derive_sweep_seeds(trials, kBaseSeed);
-  std::vector<RunStatus> statuses(trials, RunStatus::kCompleted);
-  std::vector<double> coverages(trials, 0.0);
-  const auto measure = [n, k, &trial_seeds, &statuses,
-                        &coverages](std::uint64_t seed) {
-    ChurnConfig cc;
-    cc.n = n;
-    cc.target_edges = 3 * n;
-    cc.churn_per_round = std::max<std::size_t>(1, n / 8);
-    cc.sigma = 3;
-    cc.seed = seed;
-    ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary,
-                                          static_cast<Round>(100 * n * k));
-    const auto slot = static_cast<std::size_t>(
-        std::find(trial_seeds.begin(), trial_seeds.end(), seed) -
-        trial_seeds.begin());
-    if (slot < trial_seeds.size()) {
-      statuses[slot] = r.metrics.status;
-      coverages[slot] = r.metrics.coverage;
-    }
-    return static_cast<double>(r.metrics.unicast.total());
+  AdversarySpec churn{"churn", {}};
+  churn.set("edges", static_cast<std::uint64_t>(3 * n))
+      .set("churn", static_cast<std::uint64_t>(std::max<std::size_t>(1, n / 8)))
+      .set("sigma", std::uint64_t{3});
+  const std::string churn_text = churn.to_string();
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep(trials);
+  std::uint64_t chain = kBaseSeed;
+  for (KeyedTrial& trial : sweep) {
+    trial.key = make_run_key("single_source", churn_text, fault_text, n, k, 1,
+                             static_cast<Round>(100 * n * k), splitmix64(chain));
+  }
+  const auto timed_sweep = [&sweep](ThreadPool& on, double* seconds) {
+    const ScenarioContext ctx(on, 0, ScenarioScale::kDefault);
+    const auto start = std::chrono::steady_clock::now();
+    std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
+    *seconds = seconds_since(start);
+    return out;
   };
-  const auto t_serial = std::chrono::steady_clock::now();
-  const Summary serial = sweep_seeds(trials, kBaseSeed, measure);
-  const double serial_s = seconds_since(t_serial);
-
+  const auto summarize = [](const std::vector<MemoOutcome>& rows) {
+    std::vector<double> samples;
+    samples.reserve(rows.size());
+    for (const MemoOutcome& o : rows) {
+      samples.push_back(static_cast<double>(o.row.metrics.unicast.total()));
+    }
+    return Summary::of(std::move(samples));
+  };
+  double serial_s = 0.0;
+  double parallel_s = 0.0;
+  ThreadPool serial_pool(1);
+  const std::vector<MemoOutcome> rows = timed_sweep(serial_pool, &serial_s);
   ThreadPool pool(threads);
-  const auto t_parallel = std::chrono::steady_clock::now();
-  const Summary parallel = parallel_sweep(pool, trials, kBaseSeed, measure);
-  const double parallel_s = seconds_since(t_parallel);
+  const Summary serial = summarize(rows);
+  const Summary parallel = summarize(timed_sweep(pool, &parallel_s));
 
   const bool identical = summaries_identical(serial, parallel);
   const double speedup = parallel_s > 0 ? serial_s / parallel_s : 0.0;
@@ -738,9 +738,9 @@ int cmd_speedup(const CliArgs& args) {
   // workload, but the keys keep the record shape uniform with faulty runs.
   std::map<std::string, std::size_t> status_counts;
   double min_coverage = 1.0;
-  for (std::size_t i = 0; i < trials; ++i) {
-    ++status_counts[run_status_name(statuses[i])];
-    min_coverage = std::min(min_coverage, coverages[i]);
+  for (const MemoOutcome& o : rows) {
+    ++status_counts[run_status_name(o.row.metrics.status)];
+    min_coverage = std::min(min_coverage, o.row.metrics.coverage);
   }
   JsonValue status_json = JsonValue::object();
   for (const auto& [status, count] : status_counts) {

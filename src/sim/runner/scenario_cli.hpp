@@ -15,8 +15,8 @@
 // --adversary/--trace axis swaps any axis-capable scenario's schedule for a
 // registry spec or a recorded .dgt trace.  adversaries enumerates the
 // spec grammar.  speedup is the self-measuring harness CI uses: it times
-// the same sweep serially and in parallel, asserts bit-identity, and
-// reports the ratio.
+// the same keyed sweep through memoized_sweep on a 1-worker and an N-worker
+// pool, asserts bit-identity, and reports the ratio.
 #pragma once
 
 #include "sim/runner/scenario_registry.hpp"

@@ -4,9 +4,9 @@
 // workers.  Scenario sweeps submit coarse-grained trial jobs (each runs a
 // whole simulation), so queue contention is negligible and the simple design
 // keeps the engine easy to reason about.  Reproducibility never depends on
-// scheduling: parallel_sweep and the scenario ports write every trial into a
-// preassigned slot and merge by trial index, so results are bit-identical at
-// any thread count.
+// scheduling: memoized_sweep and the JobBatch scenarios write every trial
+// into a preassigned slot and merge by trial index, so results are
+// bit-identical at any thread count.
 #pragma once
 
 #include <chrono>

@@ -1,7 +1,8 @@
 // Result-cache contract: store/lookup round trips, corruption tolerance
 // (truncated or bit-flipped entries MISS and `cache verify` names them),
-// schema-generation isolation, the kTimeout/kStalled write-back bypass, and
-// the memoized sweep scheduler serving hits without re-running trials.
+// schema-generation isolation, the kTimeout/kStalled write-back bypass, the
+// memoized sweep scheduler serving hits without re-running trials and owning
+// the observer plane, and run_keyed reproducing the hand-built trial.
 #include "cache/result_cache.hpp"
 
 #include <unistd.h>
@@ -11,7 +12,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,7 +23,11 @@
 #include "algo/registry.hpp"
 #include "cache/memo_sweep.hpp"
 #include "common/provenance.hpp"
+#include "fault/fault_plan.hpp"
+#include "fault/fault_spec.hpp"
 #include "sim/runner/thread_pool.hpp"
+#include "telemetry/round_probe.hpp"
+#include "telemetry/timeline.hpp"
 #include "trace/run_payload.hpp"
 
 namespace dyngossip {
@@ -186,6 +193,18 @@ TEST(ResultCache, TimeoutAndStalledAreNeverStoreEligible) {
   EXPECT_FALSE(cache_should_store(RunStatus::kStalled));
 }
 
+/// The sweep's execution context: `pool`, plus the optional cache and
+/// observers the executor reads from it.
+ScenarioContext sweep_context(ThreadPool& pool, ResultCache* cache,
+                              ProbeSink* sink = nullptr,
+                              TimelineRecorder* timeline = nullptr) {
+  ScenarioContext ctx(pool, 0, /*quick=*/true);
+  ctx.set_cache(cache);
+  ctx.set_probe_sink(sink);
+  ctx.set_timeline(timeline);
+  return ctx;
+}
+
 TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
   ResultCache cache(fresh_cache_dir("timeout_bypass"));
   ThreadPool pool(2);
@@ -194,11 +213,11 @@ TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
     std::vector<KeyedTrial> trials(1);
     trials[0].key = key_with_seed(status == RunStatus::kTimeout ? 10 : 11);
     trials[0].cacheable = true;
-    trials[0].run = [&runs, status, n = trials[0].key.n](ThreadPool*) {
+    trials[0].run = [&runs, status, n = trials[0].key.n](const RunOptions&) {
       ++runs;
       return sample_row(n, status);
     };
-    return memoized_sweep(trials, &cache, pool);
+    return memoized_sweep(trials, sweep_context(pool, &cache));
   };
 
   for (int round = 0; round < 2; ++round) {
@@ -215,29 +234,32 @@ TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
   EXPECT_EQ(cache.info().entries, 0u);
 }
 
+/// Three cacheable fake trials counting their cold runs in `runs`.
+std::vector<KeyedTrial> counted_trials(std::atomic<int>& runs) {
+  std::vector<KeyedTrial> trials(3);
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    trials[i].key = key_with_seed(20 + i);
+    trials[i].cacheable = true;
+    trials[i].run = [&runs, n = trials[i].key.n](const RunOptions&) {
+      ++runs;
+      return sample_row(n);
+    };
+  }
+  return trials;
+}
+
 TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
   ResultCache cache(fresh_cache_dir("memo"));
   ThreadPool pool(2);
   std::atomic<int> runs{0};  // incremented by the pool's two workers
-  const auto make_trials = [&] {
-    std::vector<KeyedTrial> trials(3);
-    for (std::size_t i = 0; i < trials.size(); ++i) {
-      trials[i].key = key_with_seed(20 + i);
-      trials[i].cacheable = true;
-      trials[i].run = [&runs, n = trials[i].key.n](ThreadPool*) {
-        ++runs;
-        return sample_row(n);
-      };
-    }
-    return trials;
-  };
+  const ScenarioContext ctx = sweep_context(pool, &cache);
 
-  const std::vector<MemoOutcome> cold = memoized_sweep(make_trials(), &cache, pool);
+  const std::vector<MemoOutcome> cold = memoized_sweep(counted_trials(runs), ctx);
   ASSERT_EQ(cold.size(), 3u);
   EXPECT_EQ(runs.load(), 3);
   for (const MemoOutcome& o : cold) EXPECT_FALSE(o.from_cache);
 
-  const std::vector<MemoOutcome> warm = memoized_sweep(make_trials(), &cache, pool);
+  const std::vector<MemoOutcome> warm = memoized_sweep(counted_trials(runs), ctx);
   ASSERT_EQ(warm.size(), 3u);
   EXPECT_EQ(runs.load(), 3) << "warm sweep must not re-run any trial";
   for (std::size_t i = 0; i < warm.size(); ++i) {
@@ -247,33 +269,66 @@ TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
   }
 
   // Non-cacheable trials bypass the cache entirely, even when present.
-  std::vector<KeyedTrial> bypass = make_trials();
+  std::vector<KeyedTrial> bypass = counted_trials(runs);
   for (KeyedTrial& t : bypass) t.cacheable = false;
-  const std::vector<MemoOutcome> raw = memoized_sweep(bypass, &cache, pool);
+  const std::vector<MemoOutcome> raw = memoized_sweep(bypass, ctx);
   EXPECT_EQ(runs.load(), 6);
   for (const MemoOutcome& o : raw) EXPECT_FALSE(o.from_cache);
+}
+
+TEST(ResultCache, MemoizedSweepRunsColdWhileAnObserverIsAttached) {
+  ResultCache cache(fresh_cache_dir("observed"));
+  ThreadPool pool(2);
+  std::atomic<int> runs{0};  // incremented by the pool's two workers
+  (void)memoized_sweep(counted_trials(runs), sweep_context(pool, &cache));
+  ASSERT_EQ(cache.info().entries, 3u);
+  const CacheStats warmed = cache.stats();
+
+  ProbeSink sink(ProbeSpec{});
+  TimelineRecorder timeline;
+  const std::vector<std::pair<ProbeSink*, TimelineRecorder*>> observers = {
+      {&sink, nullptr}, {nullptr, &timeline}, {&sink, &timeline}};
+  for (const auto& [with_sink, with_timeline] : observers) {
+    const int before = runs.load();
+    const std::vector<MemoOutcome> out = memoized_sweep(
+        counted_trials(runs), sweep_context(pool, &cache, with_sink, with_timeline));
+    EXPECT_EQ(runs.load(), before + 3) << "every trial must run cold";
+    for (const MemoOutcome& o : out) EXPECT_FALSE(o.from_cache);
+  }
+  // Neither looked up nor stored while observed.
+  EXPECT_EQ(cache.stats().hits, warmed.hits);
+  EXPECT_EQ(cache.stats().misses, warmed.misses);
+  EXPECT_EQ(cache.stats().stores, warmed.stores);
 }
 
 TEST(ResultCache, MemoizedSweepHandsOnlyALoneTrialThePool) {
   // jobs × pool size: a lone trial runs on the calling thread with the pool
   // handed to its engines; zero or several trials fan out across the pool
-  // and every one of them gets a null engine pool.
+  // and every one of them gets a null engine pool.  Every trial gets the
+  // context's timeout.
   for (const std::size_t workers : {1u, 2u, 4u}) {
     ThreadPool pool(workers);
+    ScenarioContext ctx = sweep_context(pool, nullptr);
+    ctx.set_trial_timeout(7.5);
     for (const std::size_t jobs : {0u, 1u, 2u, 3u}) {
       SCOPED_TRACE("workers=" + std::to_string(workers) +
                    " jobs=" + std::to_string(jobs));
-      std::vector<ThreadPool*> seen(jobs, nullptr);
+      std::vector<RunOptions> seen(jobs);
       std::vector<KeyedTrial> trials(jobs);
       for (std::size_t i = 0; i < jobs; ++i) {
         trials[i].key = make_run_key("flooding:", "static:", "", 8, 1, 1, 0, i);
-        trials[i].run = [&seen, i](ThreadPool* engine_pool) {
-          seen[i] = engine_pool;
+        trials[i].run = [&seen, i](const RunOptions& opts) {
+          seen[i] = opts;
           return CachedResult{};
         };
       }
-      EXPECT_EQ(memoized_sweep(trials, nullptr, pool).size(), jobs);
-      for (ThreadPool* p : seen) EXPECT_EQ(p, jobs == 1 ? &pool : nullptr);
+      EXPECT_EQ(memoized_sweep(trials, ctx).size(), jobs);
+      for (const RunOptions& opts : seen) {
+        EXPECT_EQ(opts.pool, jobs == 1 ? &pool : nullptr);
+        EXPECT_EQ(opts.timeout_seconds, 7.5);
+        EXPECT_EQ(opts.faults, nullptr);
+        EXPECT_FALSE(opts.telemetry.active());
+      }
     }
   }
 }
@@ -288,20 +343,8 @@ TEST(ResultCache, MemoizedSweepLoneBroadcastTrialMatchesAcrossPools) {
     std::vector<KeyedTrial> trials(1);
     trials[0].key =
         make_run_key("random_flooding:", "churn:rate=0.1", "fault", kN, 4, 1, 0, 7);
-    trials[0].run = [](ThreadPool* engine_pool) {
-      const std::unique_ptr<Adversary> adversary =
-          build_adversary(AdversarySpec::parse("churn:rate=0.1"), kN, 7);
-      AlgoBuildContext ctx;
-      ctx.n = kN;
-      ctx.k = 4;
-      ctx.sources = 1;
-      ctx.seed = 7;
-      ctx.pool = engine_pool;
-      const RunResult res =
-          run_algo(AlgoSpec::parse("random_flooding:"), ctx, *adversary);
-      return make_cached_result(kN, ctx.k_realized, res);
-    };
-    const std::vector<MemoOutcome> out = memoized_sweep(trials, nullptr, pool);
+    const std::vector<MemoOutcome> out =
+        memoized_sweep(trials, sweep_context(pool, nullptr));
     EXPECT_EQ(out.size(), 1u);
     return out.at(0).row;
   };
@@ -314,6 +357,138 @@ TEST(ResultCache, MemoizedSweepLoneBroadcastTrialMatchesAcrossPools) {
   EXPECT_EQ(sharded.metrics.rounds, serial.metrics.rounds);
   EXPECT_EQ(sharded.metrics.tc, serial.metrics.tc);
   EXPECT_EQ(sharded.metrics.learnings, serial.metrics.learnings);
+}
+
+/// Six small real trials over three families, two of them unlabelled.
+std::vector<KeyedTrial> labelled_trials() {
+  const char* const algos[] = {"single_source", "flooding", "async_push_pull"};
+  std::vector<KeyedTrial> trials;
+  for (const char* algo : algos) {
+    for (std::uint64_t seed = 1; seed <= 2; ++seed) {
+      KeyedTrial trial;
+      trial.key = make_run_key(algo, "churn:churn=3,edges=48", "fault", 16, 6, 1,
+                               0, seed);
+      if (std::string(algo) != "flooding") {
+        trial.series = std::string(algo) + " seed=" + std::to_string(seed);
+      }
+      trials.push_back(std::move(trial));
+    }
+  }
+  return trials;
+}
+
+/// The sink's JSONL bytes after one sweep of labelled_trials() on `workers`.
+std::string series_bytes(std::size_t workers) {
+  ThreadPool pool(workers);
+  ProbeSink sink(ProbeSpec{});
+  (void)memoized_sweep(labelled_trials(), sweep_context(pool, nullptr, &sink));
+  std::ostringstream os;
+  sink.write_to(os);
+  return os.str();
+}
+
+TEST(ResultCache, MemoizedSweepRegistersLabelledSeriesInInputOrder) {
+  const std::string jsonl = series_bytes(2);
+  // One "total" row per labelled trial, in input order; unlabelled trials
+  // register nothing.
+  std::vector<std::string> totals;
+  std::istringstream lines(jsonl);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"type\":\"total\"") == std::string::npos) continue;
+    const std::size_t at = line.find("\"series\":\"") + 10;
+    totals.push_back(line.substr(at, line.find('"', at) - at));
+  }
+  const std::vector<std::string> expected = {
+      "single_source seed=1", "single_source seed=2", "async_push_pull seed=1",
+      "async_push_pull seed=2"};
+  EXPECT_EQ(totals, expected);
+  EXPECT_EQ(jsonl.find("flooding"), std::string::npos);
+}
+
+TEST(ResultCache, MemoizedSweepSeriesAreIdenticalAtAnyPoolSize) {
+  const std::string one = series_bytes(1);
+  EXPECT_FALSE(one.empty());
+  EXPECT_EQ(series_bytes(2), one);
+  EXPECT_EQ(series_bytes(8), one);
+}
+
+TEST(ResultCache, RunKeyedMatchesTheHandBuiltTrialItReplaces) {
+  // Every --algo= family × {churn, static} × {no fault, drop+crash}: the
+  // trial run_keyed builds from the key alone must equal the hand-built
+  // run_algo trial, whose fault-free variant has no FaultPlan at all.
+  constexpr std::size_t kN = 16;
+  constexpr std::uint32_t kK = 8;
+  constexpr Round kCap = 1500;
+  constexpr std::uint64_t kSeed = 31;
+  const std::vector<std::string> schedules = {"churn:churn=2,edges=40",
+                                              "static:graph=gnp,p=0.3"};
+  const std::vector<std::string> faults = {"", "drop=0.1,crash=0.01"};
+  std::size_t cases = 0;
+  for (const AlgoFamily* family : AlgoRegistry::global().list()) {
+    for (const std::string& schedule : schedules) {
+      for (const std::string& fault : faults) {
+        // The static spanning-tree pipeline needs a static, fault-free run.
+        const bool is_static = schedule.rfind("static:", 0) == 0;
+        if (family->requires_static && (!is_static || !fault.empty())) continue;
+        const std::string what = family->name + " over " + schedule +
+                                 (fault.empty() ? "" : " under " + fault);
+        const FaultSpec fspec = fault.empty() ? FaultSpec{} : FaultSpec::parse(fault);
+
+        const std::unique_ptr<Adversary> adversary =
+            build_adversary(AdversarySpec::parse(schedule), kN, kSeed);
+        FaultPlan plan(fspec, kN, kSeed);
+        AlgoBuildContext actx;
+        actx.n = kN;
+        actx.k = kK;
+        actx.sources = 4;
+        actx.cap = kCap;
+        actx.seed = kSeed;
+        if (!fault.empty()) actx.faults = &plan;
+        const RunResult res =
+            run_algo(AlgoSpec{family->name, {}}, actx, *adversary);
+        const CachedResult hand = make_cached_result(kN, actx.k_realized, res);
+
+        const CachedResult keyed = run_keyed(
+            make_run_key(family->name, schedule, fspec.to_string(), kN, kK, 4,
+                         kCap, kSeed),
+            RunOptions{});
+        EXPECT_EQ(keyed.checksum, hand.checksum) << what;
+        EXPECT_EQ(keyed.k_realized, hand.k_realized) << what;
+        const RunMetrics& x = keyed.metrics;
+        const RunMetrics& y = hand.metrics;
+        EXPECT_EQ(x.unicast.token, y.unicast.token) << what;
+        EXPECT_EQ(x.unicast.completeness, y.unicast.completeness) << what;
+        EXPECT_EQ(x.unicast.request, y.unicast.request) << what;
+        EXPECT_EQ(x.unicast.control, y.unicast.control) << what;
+        EXPECT_EQ(x.broadcasts, y.broadcasts) << what;
+        EXPECT_EQ(x.tc, y.tc) << what;
+        EXPECT_EQ(x.deletions, y.deletions) << what;
+        EXPECT_EQ(x.learnings, y.learnings) << what;
+        EXPECT_EQ(x.duplicate_token_deliveries, y.duplicate_token_deliveries)
+            << what;
+        EXPECT_EQ(x.virtual_steps, y.virtual_steps) << what;
+        EXPECT_EQ(x.rounds, y.rounds) << what;
+        EXPECT_EQ(x.completed, y.completed) << what;
+        EXPECT_EQ(x.status, y.status) << what;
+        EXPECT_EQ(x.coverage, y.coverage) << what;
+        ++cases;
+      }
+    }
+  }
+  // 8 non-static families × 2 schedules × 2 fault specs, plus spanning_tree's
+  // fault-free static case.
+  EXPECT_EQ(cases, 8u * 2u * 2u + 1u);
+}
+
+TEST(ResultCache, RunKeyedWithAnEmptyFaultSpecMatchesAnInactivePlan) {
+  // The fault_sweep control: an empty key.fault runs without a FaultPlan;
+  // an inactive plan must not change a byte.
+  const RunKey planned =
+      make_run_key("flooding", "churn:churn=2,edges=40", "fault", 16, 8, 1, 0, 3);
+  RunKey planless = planned;
+  planless.fault.clear();
+  EXPECT_EQ(run_keyed(planless, RunOptions{}).checksum,
+            run_keyed(planned, RunOptions{}).checksum);
 }
 
 TEST(ResultCache, IndexAndInfoTrackTheObjectStore) {

@@ -307,6 +307,25 @@ TEST(AlgoAxis, SpanningTreeRejectsAnActiveFaultPlan) {
   EXPECT_EQ(rows("drop=0"), rows(""));
 }
 
+TEST(FaultAxis, OnlyAnActiveFaultSpecNamesItselfInTheTitle) {
+  // An inactive --fault (drop=0) runs the fault-free trials, so its table —
+  // title included — must equal the run without the flag; an active spec
+  // appends " under <spec>" to the title.
+  ScenarioRegistry registry;
+  register_all_scenarios(registry);
+  const auto table = [&](const std::string& fault) {
+    ThreadPool pool(1);
+    ScenarioContext ctx(pool, 0, /*quick=*/true);
+    ctx.set_adversary_spec("churn:sigma=3");
+    ctx.set_fault_spec(fault);
+    return registry.find("single_source")->run(ctx).tables.at(0);
+  };
+  const ScenarioTable plain = table("");
+  EXPECT_TRUE(table("drop=0") == plain);
+  EXPECT_EQ(plain.title.find(" under "), std::string::npos) << plain.title;
+  EXPECT_EQ(table("drop=0.1").title, plain.title + " under fault:drop=0.1");
+}
+
 TEST(AlgoAxis, ExplicitDefaultAlgoIsDispatchNeutral) {
   // --algo=single_source (the scenario's own default) must not change a
   // single byte of the override table relative to an adversary-only run.
