@@ -278,10 +278,6 @@ bool operator==(const AdversarySpec& a, const AdversarySpec& b) {
   return a.family == b.family && a.params == b.params;
 }
 
-const char* adversary_key_kind_name(AdversaryKeySpec::Kind kind) {
-  return spec_key_kind_name(kind);
-}
-
 // ---- AdversaryRegistry ---------------------------------------------------
 
 void AdversaryRegistry::add(AdversaryFamily family) {

@@ -11,7 +11,7 @@
 //     churn:rate=0.01        sigma:interval=16,turnover=0.03
 //     trace:file=run.dgt     smoothed:base=run.dgt,flips=8
 //
-// Scenarios, demos, and the CLI all build adversaries through here — the
+// Scenarios and the CLI build every adversary through here — the
 // per-file unique_ptr<Adversary> switches are gone, `dyngossip adversaries`
 // enumerates what exists, and the global --adversary=/--trace= flags let
 // any opted-in experiment run over any registered family or a recorded
@@ -88,9 +88,6 @@ struct AdversaryBuildContext {
 /// shared grammar's SpecKey, aliased for call-site clarity).
 using AdversaryKeySpec = SpecKey;
 
-/// Human-readable name of a key kind ("int", "double", "bool", "string").
-[[nodiscard]] const char* adversary_key_kind_name(AdversaryKeySpec::Kind kind);
-
 /// A registered adversary family.
 struct AdversaryFamily {
   std::string name;         ///< registry key, e.g. "churn"
@@ -155,7 +152,7 @@ class AdversaryRegistry {
 void register_all_adversaries(AdversaryRegistry& registry);
 
 /// Convenience: builds `spec` through the global registry with just a node
-/// count and a seed (the common case for scenarios and demos).
+/// count and a seed (the common case for scenarios).
 [[nodiscard]] std::unique_ptr<Adversary> build_adversary(const AdversarySpec& spec,
                                                          std::size_t n,
                                                          std::uint64_t seed);

@@ -279,10 +279,6 @@ bool operator==(const AlgoSpec& a, const AlgoSpec& b) {
   return a.family == b.family && a.params == b.params;
 }
 
-const char* algo_key_kind_name(AlgoKeySpec::Kind kind) {
-  return spec_key_kind_name(kind);
-}
-
 const char* algo_engine_name(AlgoEngine engine) {
   switch (engine) {
     case AlgoEngine::kUnicast: return "unicast";

@@ -77,8 +77,6 @@ struct AlgoSpec {
 /// One declared spec key of a family (the shared grammar's SpecKey).
 using AlgoKeySpec = SpecKey;
 
-[[nodiscard]] const char* algo_key_kind_name(AlgoKeySpec::Kind kind);
-
 /// Run-side inputs shared by every algorithm factory: the RunOptions
 /// (sim/run_options.hpp) forwarded to every engine the family builds, plus
 /// the task.  The spec's own keys (sources=, seed=, ...) always win over

@@ -36,7 +36,7 @@ RunResult to_run_result(const CachedResult& row) {
 }
 
 bool cache_should_store(RunStatus status) noexcept {
-  return status != RunStatus::kTimeout && status != RunStatus::kStalled;
+  return status != RunStatus::kTimeout;
 }
 
 namespace {

@@ -23,9 +23,10 @@
 // walks the store and reports exactly which entries would miss and why.
 //
 // Write contract: the caller only stores terminal, machine-independent
-// rows; RunStatus::kTimeout and kStalled must bypass write-back (a timeout
-// is a property of the host, not of the key) — enforced by
-// cache_should_store below and the memoized sweep scheduler.
+// rows; RunStatus::kTimeout must bypass write-back (a timeout is a property
+// of the host, not of the key) — enforced by cache_should_store below and
+// the memoized sweep scheduler.  A kStalled row is stored: the stall
+// window counts quiet rounds, so it is a pure function of the key.
 #pragma once
 
 #include <cstdint>
@@ -56,9 +57,9 @@ struct CachedResult {
 /// Reconstructs the RunResult a cached row stands for.
 [[nodiscard]] RunResult to_run_result(const CachedResult& row);
 
-/// The write-back policy: only terminal, host-independent outcomes are
-/// cacheable.  kTimeout (wall-clock watchdog) and kStalled (stall-window
-/// heuristic over wall progress) depend on the machine, not the key.
+/// The write-back policy: only host-independent outcomes are cacheable.
+/// kTimeout (wall-clock watchdog) depends on the machine, not the key;
+/// kStalled (a count of rounds without a learning) does not.
 [[nodiscard]] bool cache_should_store(RunStatus status) noexcept;
 
 /// Hit/miss/store counters (process-local, for the CLI summary and the

@@ -13,6 +13,7 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace dyngossip {
 
@@ -28,6 +29,15 @@ struct SpecKey {
   Kind kind = Kind::kInt;     ///< declared value shape
   std::string default_value;  ///< rendered in the CLI listings
   std::string help;           ///< one line for `dyngossip adversaries/algorithms`
+};
+
+/// Listing entry of a single-family spec axis (`dyngossip faults` /
+/// `dyngossip probes`): the family's documentation plus its declared keys.
+struct SpecFamilyDoc {
+  std::string name;
+  std::string description;
+  std::string example;
+  const std::vector<SpecKey>* keys = nullptr;
 };
 
 /// Human-readable name of a SpecKey::Kind ("int", "double", ...).

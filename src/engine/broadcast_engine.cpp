@@ -202,7 +202,6 @@ Round BroadcastEngine::step() {
   metrics_.rounds = r;
   control_.round_graph(g.num_edges());
   control_.round_done(r);
-  if (hook_) hook_(r, g, metrics_);
   return r;
 }
 

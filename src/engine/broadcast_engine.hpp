@@ -15,7 +15,6 @@
 // internal state they need on top.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -64,9 +63,6 @@ struct BroadcastEngineOptions : RunOptions {
 /// Drives n BroadcastAlgorithm instances against an adversary.
 class BroadcastEngine {
  public:
-  /// Called after each round with (round, round graph, metrics so far).
-  using RoundHook = std::function<void(Round, const Graph&, const RunMetrics&)>;
-
   /// `initial_knowledge[v]` is K_v(0); all bitsets must have universe k.
   BroadcastEngine(std::vector<std::unique_ptr<BroadcastAlgorithm>> nodes,
                   Adversary& adversary,
@@ -108,9 +104,6 @@ class BroadcastEngine {
   /// Learning log (counts always; events if enabled).
   [[nodiscard]] const LearningLog& learning_log() const noexcept { return log_; }
 
-  /// Installs a per-round observer (benches record series through this).
-  void set_round_hook(RoundHook hook) { hook_ = std::move(hook); }
-
  private:
   /// Per-shard scratch: intent counter for the choose phase, inbox buffer
   /// plus learning counters for the delivery phase.  Reused across rounds.
@@ -137,7 +130,6 @@ class BroadcastEngine {
   LearningLog log_;
   Round round_ = 0;
   std::size_t min_parallel_nodes_;
-  RoundHook hook_;
   std::vector<TokenId> intents_;       // scratch: i_v(r)
   std::vector<TokenId> inbox_scratch_; // scratch: per-node deliveries
   std::vector<Shard> shards_;          // scratch: sharded-path counters

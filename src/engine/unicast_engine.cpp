@@ -206,7 +206,6 @@ Round UnicastEngine::step() {
   metrics_.rounds = r - start_offset_;  // rounds executed by THIS engine/phase
   control_.round_graph(g.num_edges());
   control_.round_done(r);
-  if (hook_) hook_(r, g, metrics_);
   // Swap (not move) so both buffers recycle.
   std::swap(prev_messages_, traffic_);
   return r;

@@ -132,8 +132,6 @@ struct UnicastEngineOptions : RunOptions {
 /// (crashed nodes keep the skipped-rounds semantics of their own state).
 class UnicastEngine {
  public:
-  /// Called after each round with (round, round graph, metrics so far).
-  using RoundHook = std::function<void(Round, const Graph&, const RunMetrics&)>;
   /// Stop predicate for run_until.
   using StopPredicate = std::function<bool(const UnicastEngine&)>;
 
@@ -190,9 +188,6 @@ class UnicastEngine {
   /// Learning log (counts always; events if enabled).
   [[nodiscard]] const LearningLog& learning_log() const noexcept { return log_; }
 
-  /// Installs a per-round observer.
-  void set_round_hook(RoundHook hook) { hook_ = std::move(hook); }
-
  private:
   /// Validates and accounts the records node v appended to traffic_ since
   /// `mark`.
@@ -220,7 +215,6 @@ class UnicastEngine {
   Round start_offset_;
   Round round_;
   std::uint32_t max_payloads_per_edge_;
-  RoundHook hook_;
   std::vector<SentRecord> prev_messages_;
   // Active-node frontier (all zero while a fault plan is active): a
   // sleeping node is skipped by the send phase; a dirty one saw edge

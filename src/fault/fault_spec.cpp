@@ -48,7 +48,7 @@ const std::vector<SpecKey>& fault_spec_keys() {
   return keys;
 }
 
-FaultFamilyDoc fault_family_doc() {
+SpecFamilyDoc fault_family_doc() {
   return {kFamily,
           "deterministic execution faults: message drop/duplication and node "
           "crash/recovery, position-keyed so runs are bit-identical at any "

@@ -71,14 +71,7 @@ struct FaultSpec {
 /// shared with the adversary/algorithm listings).
 [[nodiscard]] const std::vector<SpecKey>& fault_spec_keys();
 
-/// Listing entry for `dyngossip faults` (mirrors AdversaryFamily's
-/// documentation fields; there is exactly one family).
-struct FaultFamilyDoc {
-  std::string name;
-  std::string description;
-  std::string example;
-  const std::vector<SpecKey>* keys;
-};
-[[nodiscard]] FaultFamilyDoc fault_family_doc();
+/// Listing entry for `dyngossip faults` (there is exactly one family).
+[[nodiscard]] SpecFamilyDoc fault_family_doc();
 
 }  // namespace dyngossip

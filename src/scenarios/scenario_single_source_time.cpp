@@ -3,27 +3,23 @@
 //
 // Sweeps n and k under σ=3 churn and
 // reports rounds/(nk); σ=1 rows show the algorithm still finishes without
-// the stability assumption.
+// the stability assumption.  Every trial is a keyed trial, so --cache=
+// serves a warm re-run from disk.
 
 #include <algorithm>
-#include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/registry.hpp"
+#include "cache/memo_sweep.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "fault/fault_spec.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/runner/parallel.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
-
-struct TrialOut {
-  bool ok = false;
-  double rounds = 0;
-};
 
 ScenarioResult run(const ScenarioContext& ctx) {
   const bool quick = ctx.quick();
@@ -47,27 +43,29 @@ ScenarioResult run(const ScenarioContext& ctx) {
     }
   }
 
-  std::vector<std::vector<TrialOut>> out(rows.size(), std::vector<TrialOut>(seeds));
-  JobBatch batch;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(rows.size() * seeds);
+  for (const RowSpec& spec : rows) {
+    AdversarySpec churn{"churn", {}};
+    churn.set("edges", static_cast<std::uint64_t>(3 * spec.n))
+        .set("churn", static_cast<std::uint64_t>(std::max<std::size_t>(1, spec.n / 8)))
+        .set("sigma", static_cast<std::uint64_t>(spec.sigma));
+    const std::string churn_text = churn.to_string();
     for (std::size_t i = 0; i < seeds; ++i) {
-      batch.add([&out, &rows, r, i] {
-        const RowSpec& spec = rows[r];
-        AdversarySpec churn{"churn", {}};
-        churn.set("edges", static_cast<std::uint64_t>(3 * spec.n))
-            .set("churn",
-                 static_cast<std::uint64_t>(std::max<std::size_t>(1, spec.n / 8)))
-            .set("sigma", static_cast<std::uint64_t>(spec.sigma));
-        const std::unique_ptr<Adversary> adversary = build_adversary(
-            churn, spec.n, 11'000 + 17 * spec.n + 3 * spec.kf + spec.sigma + i);
-        const RunResult result = run_single_source(
-            spec.n, spec.k, 0, *adversary, static_cast<Round>(100 * spec.n * spec.k));
-        out[r][i].ok = result.completed;
-        out[r][i].rounds = static_cast<double>(result.rounds);
-      });
+      KeyedTrial trial;
+      trial.key = make_run_key("single_source", churn_text, fault_text, spec.n,
+                               spec.k, 1, static_cast<Round>(100 * spec.n * spec.k),
+                               11'000 + 17 * spec.n + 3 * spec.kf + spec.sigma + i);
+      trial.cacheable = true;
+      trial.series = "single_source_time n=" + std::to_string(spec.n) +
+                     " k=" + std::to_string(spec.k) +
+                     " sigma=" + std::to_string(spec.sigma) +
+                     " trial=" + std::to_string(i);
+      sweep.push_back(std::move(trial));
     }
   }
-  batch.run(ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title = "Theorem 3.4: O(nk) rounds on 3-edge-stable graphs";
@@ -77,9 +75,10 @@ ScenarioResult run(const ScenarioContext& ctx) {
     RunningStat rounds;
     std::size_t done = 0;
     for (std::size_t i = 0; i < seeds; ++i) {
-      if (!out[r][i].ok) continue;
+      const RunMetrics& m = out[r * seeds + i].row.metrics;
+      if (!m.completed) continue;
       ++done;
-      rounds.add(out[r][i].rounds);
+      rounds.add(static_cast<double>(m.rounds));
     }
     const double nk = bounds::stable_round_bound(spec.n, spec.k);
     table.rows.push_back({std::to_string(spec.n), std::to_string(spec.k),

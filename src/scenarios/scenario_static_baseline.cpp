@@ -1,26 +1,20 @@
 // Scenario `static_baseline` — Section 1's static reference point: spanning
 // tree + token pipeline gives O(n² + nk) total, O(n²/k + n) amortized.
 //
-// A deterministic k sweep on a complete
-// static graph (no seeds), parallelized across the k rows.
+// A deterministic k sweep on a complete static graph (one seed), one
+// keyed trial per k row: spanning_tree with all k tokens at node 0.
 
-#include <memory>
+#include <string>
 #include <vector>
 
-#include "adversary/registry.hpp"
+#include "cache/memo_sweep.hpp"
 #include "common/table.hpp"
+#include "fault/fault_spec.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/runner/parallel.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
-
-struct RowOut {
-  bool ok = false;
-  RunResult result;
-};
 
 ScenarioResult run(const ScenarioContext& ctx) {
   const bool quick = ctx.quick();
@@ -29,20 +23,18 @@ ScenarioResult run(const ScenarioContext& ctx) {
       quick ? std::vector<std::uint32_t>{1, 8, 32, 128}
             : std::vector<std::uint32_t>{1, 4, 16, 64, 256, 1024};
 
-  std::vector<RowOut> out(ks.size());
-  JobBatch batch;
-  for (std::size_t r = 0; r < ks.size(); ++r) {
-    batch.add([&out, &ks, n, r] {
-      const std::uint32_t k = ks[r];
-      const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
-      const std::unique_ptr<Adversary> adversary =
-          build_adversary(AdversarySpec{"static", {}}, n, /*seed=*/1);
-      out[r].result = run_spanning_tree(n, space, *adversary,
-                                        static_cast<Round>(10 * (n + k) + 100));
-      out[r].ok = out[r].result.completed;
-    });
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(ks.size());
+  for (const std::uint32_t k : ks) {
+    KeyedTrial trial;
+    trial.key = make_run_key("spanning_tree", "static", fault_text, n, k, 1,
+                             static_cast<Round>(10 * (n + k) + 100), /*seed=*/1);
+    trial.cacheable = true;
+    trial.series = "static_baseline k=" + std::to_string(k);
+    sweep.push_back(std::move(trial));
   }
-  batch.run(ctx.pool());
+  const std::vector<MemoOutcome> out = memoized_sweep(sweep, ctx);
 
   ScenarioTable table;
   table.title = "Static baseline: spanning tree + pipeline (n=" +
@@ -50,17 +42,16 @@ ScenarioResult run(const ScenarioContext& ctx) {
   table.columns = {"k",         "total msgs", "token msgs", "control msgs",
                    "amortized", "n^2/k + n",  "meas/bound", "rounds"};
   for (std::size_t r = 0; r < ks.size(); ++r) {
-    if (!out[r].ok) continue;
+    const RunMetrics& m = out[r].row.metrics;
+    if (!m.completed) continue;
     const std::uint32_t k = ks[r];
-    const RunResult& res = out[r].result;
     const double bound = bounds::static_amortized(n, k);
     table.rows.push_back(
-        {std::to_string(k), TablePrinter::big(res.metrics.unicast.total()),
-         TablePrinter::big(res.metrics.unicast.token),
-         TablePrinter::big(res.metrics.unicast.control),
-         TablePrinter::num(res.amortized(k), 1), TablePrinter::num(bound, 1),
-         TablePrinter::num(res.amortized(k) / bound, 3),
-         std::to_string(res.rounds)});
+        {std::to_string(k), TablePrinter::big(m.unicast.total()),
+         TablePrinter::big(m.unicast.token), TablePrinter::big(m.unicast.control),
+         TablePrinter::num(m.amortized(k), 1), TablePrinter::num(bound, 1),
+         TablePrinter::num(m.amortized(k) / bound, 3),
+         std::to_string(m.rounds)});
   }
   table.note =
       "Expected shape: amortized cost tracks n^2/k + n — dominated by the\n"

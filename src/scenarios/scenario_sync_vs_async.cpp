@@ -44,13 +44,26 @@ namespace {
 /// perturbs: n nodes, edges (v, v+1 mod n), held for `rounds` rounds.  The
 /// content is a pure function of the name-encoded shape, and the writer
 /// publishes by atomic rename, so an existing file is complete and
-/// byte-identical — reuse it.
+/// byte-identical — reuse it.  The path goes into a `smoothed:base=` spec,
+/// where ',' separates keys, so a temp directory that contains one, or
+/// does not exist, is refused as a spec error (exit 2) naming TMPDIR.
 std::string ring_base_trace(std::size_t n, Round rounds) {
   namespace fs = std::filesystem;
-  const fs::path path =
-      fs::temp_directory_path() /
-      ("dyngossip_sync_vs_async_ring_n" + std::to_string(n) + "_r" +
-       std::to_string(rounds) + ".dgt");
+  std::error_code ec;
+  const fs::path dir = fs::temp_directory_path(ec);
+  if (ec) {
+    throw AdversarySpecError("the temp directory (TMPDIR) is unusable: " +
+                             ec.message());
+  }
+  if (dir.string().find(',') != std::string::npos) {
+    throw AdversarySpecError(
+        "the temp directory (TMPDIR) '" + dir.string() +
+        "' contains ',', which the adversary spec grammar uses as the key "
+        "separator; point TMPDIR at a directory without ','");
+  }
+  const fs::path path = dir / ("dyngossip_sync_vs_async_ring_n" +
+                               std::to_string(n) + "_r" +
+                               std::to_string(rounds) + ".dgt");
   if (!fs::exists(path)) {
     Graph ring(n);
     for (NodeId v = 0; v < static_cast<NodeId>(n); ++v) {

@@ -21,7 +21,6 @@
 #include "fault/fault_spec.hpp"
 #include "metrics/accounting.hpp"
 #include "serve/serve_cli.hpp"
-#include "sim/runner/demo_registry.hpp"
 #include "sim/runner/emit.hpp"
 #include "telemetry/probe_spec.hpp"
 #include "telemetry/round_probe.hpp"
@@ -71,8 +70,6 @@ constexpr const char* kUsage =
     "                    warm re-runs serve trials from disk and skip to\n"
     "                    aggregation, byte-identical to a cold run\n"
     "      --<param>=v   scenario-specific parameter (see `list`)\n"
-    "  demo <name> [flags]           run a narrated end-to-end demo\n"
-    "      (see `dyngossip demo` for the catalogue)\n"
     "  trace <record|replay|info|gen> [flags]\n"
     "                                record, replay, inspect, or synthesize\n"
     "                                dynamic-network traces (.dgt / .jsonl)\n"
@@ -103,6 +100,50 @@ const char* kind_name(ParamSpec::Kind kind) {
 double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
       .count();
+}
+
+/// The "keys" array of every spec family listing.
+JsonValue spec_keys_json(const std::vector<SpecKey>& keys) {
+  JsonValue out = JsonValue::array();
+  for (const SpecKey& k : keys) {
+    JsonValue spec = JsonValue::object();
+    spec.set("key", JsonValue::str(k.key));
+    spec.set("kind", JsonValue::str(spec_key_kind_name(k.kind)));
+    spec.set("default", JsonValue::str(k.default_value));
+    spec.set("help", JsonValue::str(k.help));
+    out.push(std::move(spec));
+  }
+  return out;
+}
+
+/// The indented key lines of every spec family listing.
+void print_spec_keys(const std::vector<SpecKey>& keys) {
+  for (const SpecKey& k : keys) {
+    std::printf("    %s=<%s>  (default %s)  %s\n", k.key.c_str(),
+                spec_key_kind_name(k.kind), k.default_value.c_str(),
+                k.help.c_str());
+  }
+}
+
+/// `faults --json` / `probes --json`: a one-family listing document.
+void print_family_doc_json(const SpecFamilyDoc& info) {
+  JsonValue entry = JsonValue::object();
+  entry.set("name", JsonValue::str(info.name));
+  entry.set("description", JsonValue::str(info.description));
+  entry.set("example", JsonValue::str(info.example));
+  entry.set("keys", spec_keys_json(*info.keys));
+  JsonValue families = JsonValue::array();
+  families.push(std::move(entry));
+  JsonValue doc = JsonValue::object();
+  doc.set("families", std::move(families));
+  std::cout << doc.dump(2) << "\n";
+}
+
+/// argv[first..] behind the program name, parsed as one command's flags.
+CliArgs sub_args(int argc, const char* const* argv, int first) {
+  std::vector<const char*> rest = {argv[0]};
+  for (int i = first; i < argc; ++i) rest.push_back(argv[i]);
+  return CliArgs(static_cast<int>(rest.size()), rest.data());
 }
 
 int cmd_list(const ScenarioRegistry& registry, const CliArgs& args) {
@@ -160,16 +201,7 @@ int cmd_adversaries(const CliArgs& args) {
       entry.set("name", JsonValue::str(f->name));
       entry.set("description", JsonValue::str(f->description));
       entry.set("example", JsonValue::str(f->example));
-      JsonValue keys = JsonValue::array();
-      for (const AdversaryKeySpec& k : f->keys) {
-        JsonValue spec = JsonValue::object();
-        spec.set("key", JsonValue::str(k.key));
-        spec.set("kind", JsonValue::str(adversary_key_kind_name(k.kind)));
-        spec.set("default", JsonValue::str(k.default_value));
-        spec.set("help", JsonValue::str(k.help));
-        keys.push(std::move(spec));
-      }
-      entry.set("keys", std::move(keys));
+      entry.set("keys", spec_keys_json(f->keys));
       entry.set("needs_run_context", JsonValue::boolean(f->needs_run_context));
       families.push(std::move(entry));
     }
@@ -187,11 +219,7 @@ int cmd_adversaries(const CliArgs& args) {
                   "reproduce a schedule, record it and\n           replay "
                   "through trace:file=\n");
     }
-    for (const AdversaryKeySpec& k : f->keys) {
-      std::printf("    %s=<%s>  (default %s)  %s\n", k.key.c_str(),
-                  adversary_key_kind_name(k.kind), k.default_value.c_str(),
-                  k.help.c_str());
-    }
+    print_spec_keys(f->keys);
   }
   std::printf(
       "\nUse with any axis-capable scenario:  dyngossip run <scenario>\n"
@@ -213,16 +241,7 @@ int cmd_algorithms(const CliArgs& args) {
       entry.set("example", JsonValue::str(f->example));
       entry.set("engine", JsonValue::str(algo_engine_name(f->engine)));
       entry.set("requires_static", JsonValue::boolean(f->requires_static));
-      JsonValue keys = JsonValue::array();
-      for (const AlgoKeySpec& k : f->keys) {
-        JsonValue spec = JsonValue::object();
-        spec.set("key", JsonValue::str(k.key));
-        spec.set("kind", JsonValue::str(algo_key_kind_name(k.kind)));
-        spec.set("default", JsonValue::str(k.default_value));
-        spec.set("help", JsonValue::str(k.help));
-        keys.push(std::move(spec));
-      }
-      entry.set("keys", std::move(keys));
+      entry.set("keys", spec_keys_json(f->keys));
       families.push(std::move(entry));
     }
     doc.set("families", std::move(families));
@@ -242,11 +261,7 @@ int cmd_algorithms(const CliArgs& args) {
                   "(the protocol asserts an\n                            "
                   "unchanging neighborhood) — pair with --adversary=static:\n");
     }
-    for (const AlgoKeySpec& k : f->keys) {
-      std::printf("    %s=<%s>  (default %s)  %s\n", k.key.c_str(),
-                  algo_key_kind_name(k.kind), k.default_value.c_str(),
-                  k.help.c_str());
-    }
+    print_spec_keys(f->keys);
   }
   std::printf(
       "\nUse with any algo-axis scenario:  dyngossip run <scenario> "
@@ -258,38 +273,16 @@ int cmd_algorithms(const CliArgs& args) {
 
 int cmd_faults(const CliArgs& args) {
   args.allow_only({"json"}, "dyngossip faults [--json]");
-  const FaultFamilyDoc& doc_info = fault_family_doc();
+  const SpecFamilyDoc doc_info = fault_family_doc();
   if (args.get_bool("json", false)) {
-    JsonValue doc = JsonValue::object();
-    JsonValue families = JsonValue::array();
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue::str(doc_info.name));
-    entry.set("description", JsonValue::str(doc_info.description));
-    entry.set("example", JsonValue::str(doc_info.example));
-    JsonValue keys = JsonValue::array();
-    for (const SpecKey& k : *doc_info.keys) {
-      JsonValue spec = JsonValue::object();
-      spec.set("key", JsonValue::str(k.key));
-      spec.set("kind", JsonValue::str(spec_key_kind_name(k.kind)));
-      spec.set("default", JsonValue::str(k.default_value));
-      spec.set("help", JsonValue::str(k.help));
-      keys.push(std::move(spec));
-    }
-    entry.set("keys", std::move(keys));
-    families.push(std::move(entry));
-    doc.set("families", std::move(families));
-    std::cout << doc.dump(2) << "\n";
+    print_family_doc_json(doc_info);
     return 0;
   }
   std::printf("fault spec grammar: fault:key=value[,key=value...]\n"
               "(the leading 'fault:' may be omitted: --fault=drop=0.05)\n\n");
   std::printf("%-10s %s\n           e.g. %s\n", doc_info.name.c_str(),
               doc_info.description.c_str(), doc_info.example.c_str());
-  for (const SpecKey& k : *doc_info.keys) {
-    std::printf("    %s=<%s>  (default %s)  %s\n", k.key.c_str(),
-                spec_key_kind_name(k.kind), k.default_value.c_str(),
-                k.help.c_str());
-  }
+  print_spec_keys(*doc_info.keys);
   std::printf(
       "\nUse with any fault-axis scenario:  dyngossip run <scenario> "
       "--fault=SPEC\n"
@@ -301,27 +294,9 @@ int cmd_faults(const CliArgs& args) {
 
 int cmd_probes(const CliArgs& args) {
   args.allow_only({"json"}, "dyngossip probes [--json]");
-  const ProbeFamilyDoc doc_info = probe_family_doc();
+  const SpecFamilyDoc doc_info = probe_family_doc();
   if (args.get_bool("json", false)) {
-    JsonValue doc = JsonValue::object();
-    JsonValue families = JsonValue::array();
-    JsonValue entry = JsonValue::object();
-    entry.set("name", JsonValue::str(doc_info.name));
-    entry.set("description", JsonValue::str(doc_info.description));
-    entry.set("example", JsonValue::str(doc_info.example));
-    JsonValue keys = JsonValue::array();
-    for (const SpecKey& k : *doc_info.keys) {
-      JsonValue spec = JsonValue::object();
-      spec.set("key", JsonValue::str(k.key));
-      spec.set("kind", JsonValue::str(spec_key_kind_name(k.kind)));
-      spec.set("default", JsonValue::str(k.default_value));
-      spec.set("help", JsonValue::str(k.help));
-      keys.push(std::move(spec));
-    }
-    entry.set("keys", std::move(keys));
-    families.push(std::move(entry));
-    doc.set("families", std::move(families));
-    std::cout << doc.dump(2) << "\n";
+    print_family_doc_json(doc_info);
     return 0;
   }
   std::printf("probe spec grammar: round_series:key=value[,key=value...]\n"
@@ -329,11 +304,7 @@ int cmd_probes(const CliArgs& args) {
               "--probe=out=series.csv)\n\n");
   std::printf("%-12s %s\n             e.g. %s\n", doc_info.name.c_str(),
               doc_info.description.c_str(), doc_info.example.c_str());
-  for (const SpecKey& k : *doc_info.keys) {
-    std::printf("    %s=<%s>  (default %s)  %s\n", k.key.c_str(),
-                spec_key_kind_name(k.kind), k.default_value.c_str(),
-                k.help.c_str());
-  }
+  print_spec_keys(*doc_info.keys);
   std::printf(
       "\nUse with any scenario:  dyngossip run <scenario> --probe=SPEC\n"
       "Probes only observe: a probed run's payload checksum is byte-identical\n"
@@ -631,28 +602,6 @@ int run_one_scenario(ScenarioRegistry& registry, const std::string& name,
   return 0;
 }
 
-int cmd_demo(int argc, const char* const* argv, const char* program) {
-  DemoRegistry& demos = DemoRegistry::global();
-  if (argc < 3) {
-    std::printf("available demos (dyngossip demo <name> [flags]):\n");
-    for (const Demo* d : demos.list()) {
-      std::printf("  %-14s %s\n                 %s\n", d->name.c_str(),
-                  d->description.c_str(), d->usage.c_str());
-    }
-    return 0;
-  }
-  const std::string name = argv[2];
-  const Demo* demo = demos.find(name);
-  if (demo == nullptr) {
-    std::fprintf(stderr, "unknown demo '%s'; try `dyngossip demo`\n", name.c_str());
-    return 2;
-  }
-  std::vector<const char*> rest = {program};
-  for (int i = 3; i < argc; ++i) rest.push_back(argv[i]);
-  const CliArgs args(static_cast<int>(rest.size()), rest.data());
-  return demo->run(args);
-}
-
 bool summaries_identical(const Summary& a, const Summary& b) {
   // The checksum alone certifies bit-identity of the underlying samples in
   // trial order; the statistic compares stay as a self-check of Summary::of.
@@ -770,61 +719,35 @@ int dyngossip_main(ScenarioRegistry& registry, int argc, const char* const* argv
     return 2;
   }
   const std::string command = argv[1];
-  const char* program = argv[0];
 
   if (command == "help" || command == "--help" || command == "-h") {
     std::fputs(kUsage, stdout);
     return 0;
   }
   if (command == "list") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_list(registry, args);
+    return cmd_list(registry, sub_args(argc, argv, 2));
   }
   if (command == "adversaries") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_adversaries(args);
+    return cmd_adversaries(sub_args(argc, argv, 2));
   }
   if (command == "algorithms") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_algorithms(args);
+    return cmd_algorithms(sub_args(argc, argv, 2));
   }
   if (command == "faults") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_faults(args);
+    return cmd_faults(sub_args(argc, argv, 2));
   }
   if (command == "probes") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_probes(args);
+    return cmd_probes(sub_args(argc, argv, 2));
   }
   if (command == "version" || command == "--version") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_version(args);
+    return cmd_version(sub_args(argc, argv, 2));
   }
   if (command == "run") {
     if (argc < 3 || std::string(argv[2]).rfind("--", 0) == 0) {
       std::fprintf(stderr, "usage: dyngossip run <scenario> [flags]\n");
       return 2;
     }
-    const std::string name = argv[2];
-    std::vector<const char*> rest = {program};
-    for (int i = 3; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return run_one_scenario(registry, name, args);
-  }
-  if (command == "demo") {
-    return cmd_demo(argc, argv, program);
+    return run_one_scenario(registry, argv[2], sub_args(argc, argv, 3));
   }
   if (command == "trace") {
     return trace_main(argc, argv);
@@ -836,10 +759,7 @@ int dyngossip_main(ScenarioRegistry& registry, int argc, const char* const* argv
     return serve_main(argc, argv);
   }
   if (command == "speedup") {
-    std::vector<const char*> rest = {program};
-    for (int i = 2; i < argc; ++i) rest.push_back(argv[i]);
-    const CliArgs args(static_cast<int>(rest.size()), rest.data());
-    return cmd_speedup(args);
+    return cmd_speedup(sub_args(argc, argv, 2));
   }
   std::fprintf(stderr, "unknown command '%s'\n%s", command.c_str(), kUsage);
   return 2;

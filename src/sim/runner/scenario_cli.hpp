@@ -6,7 +6,6 @@
 //                            [--csv] [--json[=PATH|-]]
 //                            [--adversary=SPEC | --trace=FILE]
 //                            [--<param>=v ...]
-//   dyngossip demo <name> [flags]
 //   dyngossip trace <record|replay|info|gen> [flags]
 //   dyngossip speedup [--threads=N] [--trials=T] [--n=..] [--min=X]
 //

@@ -30,7 +30,7 @@ const std::vector<SpecKey>& probe_spec_keys() {
   return keys;
 }
 
-ProbeFamilyDoc probe_family_doc() {
+SpecFamilyDoc probe_family_doc() {
   return {kFamily,
           "per-round structured series: coverage, learnings, messages "
           "sent/dropped/duplicated, requests issued/served, edge churn, and "

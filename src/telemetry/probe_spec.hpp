@@ -61,14 +61,7 @@ struct ProbeSpec {
 /// Declared keys of the round_series family (documentation + validation).
 [[nodiscard]] const std::vector<SpecKey>& probe_spec_keys();
 
-/// Listing entry for `dyngossip probes` (same shape as FaultFamilyDoc;
-/// there is exactly one family).
-struct ProbeFamilyDoc {
-  std::string name;
-  std::string description;
-  std::string example;
-  const std::vector<SpecKey>* keys;
-};
-[[nodiscard]] ProbeFamilyDoc probe_family_doc();
+/// Listing entry for `dyngossip probes` (there is exactly one family).
+[[nodiscard]] SpecFamilyDoc probe_family_doc();
 
 }  // namespace dyngossip

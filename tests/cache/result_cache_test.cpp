@@ -1,6 +1,6 @@
 // Result-cache contract: store/lookup round trips, corruption tolerance
 // (truncated or bit-flipped entries MISS and `cache verify` names them),
-// schema-generation isolation, the kTimeout/kStalled write-back bypass, the
+// schema-generation isolation, the kTimeout write-back bypass, the
 // memoized sweep scheduler serving hits without re-running trials and owning
 // the observer plane, and run_keyed reproducing the hand-built trial.
 #include "cache/result_cache.hpp"
@@ -184,13 +184,14 @@ TEST(ResultCache, ForeignSchemaEntryMissesAndVerifyCountsItForeign) {
   EXPECT_FALSE(cache.lookup(key_with_seed(4)).has_value());
 }
 
-TEST(ResultCache, TimeoutAndStalledAreNeverStoreEligible) {
+TEST(ResultCache, OnlyTimeoutIsNeverStoreEligible) {
   EXPECT_TRUE(cache_should_store(RunStatus::kCompleted));
   EXPECT_TRUE(cache_should_store(RunStatus::kRoundCap));
   EXPECT_TRUE(cache_should_store(RunStatus::kAllDown));
-  // Host-dependent outcomes: a faster machine would not have timed out.
+  // A stall is a count of quiet rounds: a pure function of the key.
+  EXPECT_TRUE(cache_should_store(RunStatus::kStalled));
+  // Host-dependent outcome: a faster machine would not have timed out.
   EXPECT_FALSE(cache_should_store(RunStatus::kTimeout));
-  EXPECT_FALSE(cache_should_store(RunStatus::kStalled));
 }
 
 /// The sweep's execution context: `pool`, plus the optional cache and
@@ -205,7 +206,7 @@ ScenarioContext sweep_context(ThreadPool& pool, ResultCache* cache,
   return ctx;
 }
 
-TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
+TEST(ResultCache, MemoizedSweepCachesStalledButNeverTimeoutRows) {
   ResultCache cache(fresh_cache_dir("timeout_bypass"));
   ThreadPool pool(2);
   std::atomic<int> runs{0};  // incremented by the pool's two workers
@@ -226,12 +227,15 @@ TEST(ResultCache, MemoizedSweepNeverCachesTimeoutOrStalledRows) {
     EXPECT_FALSE(t[0].from_cache);
     const std::vector<MemoOutcome> s = sweep_once(RunStatus::kStalled);
     ASSERT_EQ(s.size(), 1u);
-    EXPECT_FALSE(s[0].from_cache);
+    // The stalled row was stored by the first sweep and served by the second.
+    EXPECT_EQ(s[0].from_cache, round == 1);
+    EXPECT_EQ(s[0].row.metrics.status, RunStatus::kStalled);
   }
-  // Both statuses re-ran on the second sweep: nothing was written back.
-  EXPECT_EQ(runs.load(), 4);
-  EXPECT_EQ(cache.stats().stores, 0u);
-  EXPECT_EQ(cache.info().entries, 0u);
+  // The timeout trial re-ran on the second sweep; the stalled one did not.
+  EXPECT_EQ(runs.load(), 3);
+  EXPECT_EQ(cache.stats().stores, 1u);
+  EXPECT_EQ(cache.info().entries, 1u);
+  EXPECT_FALSE(cache.lookup(key_with_seed(10)).has_value());
 }
 
 /// Three cacheable fake trials counting their cold runs in `runs`.

@@ -6,6 +6,7 @@
 #include "adversary/scripted.hpp"
 #include "adversary/static_adversary.hpp"
 #include "graph/generators.hpp"
+#include "telemetry/round_probe.hpp"
 
 namespace dyngossip {
 namespace {
@@ -108,22 +109,24 @@ TEST(BroadcastEngine, LearningLogRecordsEvents) {
   EXPECT_EQ(e.round, 1u);
 }
 
-TEST(BroadcastEngine, RoundHookObservesEveryRound) {
+TEST(BroadcastEngine, ProbeSamplesEveryRound) {
   StaticAdversary adversary(path_graph(3));
   auto init = one_holder(3, 1, 0);
   std::vector<std::unique_ptr<BroadcastAlgorithm>> nodes;
   for (std::size_t v = 0; v < 3; ++v) {
     nodes.push_back(std::make_unique<StubBroadcaster>(1, init[v], 0));
   }
-  BroadcastEngine engine(std::move(nodes), adversary, init, 1);
-  std::vector<Round> seen;
-  engine.set_round_hook(
-      [&](Round r, const Graph& g, const RunMetrics&) {
-        EXPECT_EQ(g.num_nodes(), 3u);
-        seen.push_back(r);
-      });
+  RoundProbe probe;
+  BroadcastEngineOptions opts;
+  opts.telemetry.probe = &probe;
+  BroadcastEngine engine(std::move(nodes), adversary, init, 1, opts);
   engine.run(100);
-  const std::vector<Round> want{1, 2};
+  std::vector<std::uint64_t> seen;
+  for (const RoundProbeSample& s : probe.samples()) {
+    EXPECT_EQ(s.edges, 2u);  // |E_r| of the static path
+    seen.push_back(s.round);
+  }
+  const std::vector<std::uint64_t> want{1, 2};
   EXPECT_EQ(seen, want);
 }
 

@@ -9,6 +9,7 @@
 #include "adversary/scripted.hpp"
 #include "adversary/static_adversary.hpp"
 #include "graph/generators.hpp"
+#include "telemetry/round_probe.hpp"
 
 namespace dyngossip {
 namespace {
@@ -70,6 +71,29 @@ TEST(UnicastEngine, DeliveryIsEndOfRound) {
   EXPECT_EQ(engine.metrics().unicast.token, 3u);  // 0->1, 1->0(dup), 1->2
   EXPECT_EQ(engine.metrics().learnings, 2u);
   EXPECT_EQ(engine.metrics().duplicate_token_deliveries, 1u);
+}
+
+TEST(UnicastEngine, ProbeSamplesEveryRoundAndSumsToTotals) {
+  constexpr std::size_t n = 6, k = 4;
+  StaticAdversary adversary(path_graph(n));
+  auto init = one_holder(n, k, 0);
+  RoundProbe probe;
+  UnicastEngineOptions opts;
+  opts.telemetry.probe = &probe;
+  UnicastEngine engine(relays(n, k, init), adversary, init, k, opts);
+  engine.run(10'000);
+  ASSERT_TRUE(engine.all_complete());
+  ASSERT_EQ(probe.samples().size(), engine.metrics().rounds);
+  std::uint64_t sent = 0, learned = 0;
+  for (std::size_t i = 0; i < probe.samples().size(); ++i) {
+    const RoundProbeSample& s = probe.samples()[i];
+    EXPECT_EQ(s.round, i + 1);
+    EXPECT_EQ(s.edges, n - 1);  // static path
+    sent += s.sent;
+    learned += s.learned;
+  }
+  EXPECT_EQ(sent, engine.metrics().total_messages());
+  EXPECT_EQ(learned, engine.metrics().learnings);
 }
 
 TEST(UnicastEngine, PerTypeCounting) {

@@ -61,7 +61,7 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
 }
 
 TEST(FaultSpec, FamilyDocListsEveryKey) {
-  const FaultFamilyDoc doc = fault_family_doc();
+  const SpecFamilyDoc doc = fault_family_doc();
   EXPECT_EQ(doc.name, "fault");
   ASSERT_NE(doc.keys, nullptr);
   EXPECT_EQ(doc.keys, &fault_spec_keys());

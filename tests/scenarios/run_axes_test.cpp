@@ -9,6 +9,8 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <utility>
@@ -354,6 +356,41 @@ TEST(AlgoAxis, AlgoMatrixCrossesFamiliesOnASharedSchedule) {
     EXPECT_EQ(row[4], "yes") << row[0] << " vs " << row[2]
                              << " did not complete";
   }
+}
+
+/// Runs `dyngossip run sync_vs_async --quick` with TMPDIR set to `tmpdir`;
+/// returns (exit code, stderr).
+std::pair<int, std::string> run_sync_vs_async_with_tmpdir(const std::string& tmpdir) {
+  const char* old = std::getenv("TMPDIR");
+  const std::string saved = old != nullptr ? old : "";
+  ::setenv("TMPDIR", tmpdir.c_str(), 1);
+  auto result = run_cli({"sync_vs_async", "--quick", "--threads=1"});
+  if (old != nullptr) {
+    ::setenv("TMPDIR", saved.c_str(), 1);
+  } else {
+    ::unsetenv("TMPDIR");
+  }
+  return result;
+}
+
+TEST(SyncVsAsync, UnusableTmpdirIsAnActionableSpecError) {
+  // The smoothing grid's ring base trace lives in the temp directory and
+  // its path goes into a `smoothed:base=` spec, where ',' separates keys:
+  // such a TMPDIR — or one that does not exist — must exit 2 naming TMPDIR.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) /
+      ("dg_tmp,comma_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const auto [code, err] = run_sync_vs_async_with_tmpdir(dir.string());
+  std::filesystem::remove_all(dir);
+  EXPECT_EQ(code, 2) << err;
+  EXPECT_NE(err.find("TMPDIR"), std::string::npos) << err;
+  EXPECT_NE(err.find("','"), std::string::npos) << err;
+
+  const auto [missing_code, missing_err] =
+      run_sync_vs_async_with_tmpdir(dir.string() + "_missing");
+  EXPECT_EQ(missing_code, 2) << missing_err;
+  EXPECT_NE(missing_err.find("TMPDIR"), std::string::npos) << missing_err;
 }
 
 }  // namespace

@@ -52,7 +52,7 @@ TEST(ProbeSpec, StrictRejection) {
 }
 
 TEST(ProbeSpec, FamilyDocListsEveryKey) {
-  const ProbeFamilyDoc doc = probe_family_doc();
+  const SpecFamilyDoc doc = probe_family_doc();
   EXPECT_EQ(doc.name, std::string("round_series"));
   EXPECT_FALSE(doc.description.empty());
   // Every grammar key is documented (the CLI listing renders these).

@@ -2,18 +2,15 @@
 //
 //   dyngossip list
 //   dyngossip run <scenario> [--threads=N --trials=T --scale=S --csv --json[=PATH]]
-//   dyngossip demo [<name> [flags]]
 //   dyngossip speedup [--threads=N --trials=T --min=X]
 //
 // See src/sim/runner/scenario_cli.hpp for the full contract.
 
-#include "demos/demos.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/runner/scenario_cli.hpp"
 
 int main(int argc, char** argv) {
   dyngossip::ScenarioRegistry& registry = dyngossip::ScenarioRegistry::global();
   dyngossip::register_all_scenarios(registry);
-  dyngossip::register_all_demos(dyngossip::DemoRegistry::global());
   return dyngossip::dyngossip_main(registry, argc, argv);
 }
