@@ -16,10 +16,13 @@
 //     n up to 10⁵ serial vs sharded across a worker pool (the sharded case
 //     only wins on multi-core hosts; on one core it measures fork/join
 //     overhead, which is the other number worth tracking).
-//   BM_ChurnRound, BM_TrackerAdvance, BM_ComponentsCsr — the adversary
-//     step, the full-path topology diff, and the connectivity BFS of a
-//     churn round.  The BFS is the one O(n + m) walk every round still
-//     pays; the snapshot and the diff are O(n + m) only on the full path.
+//   BM_ChurnRound, BM_TrackerAdvance, BM_ComponentsCsr, BM_ComponentsGraph
+//     — the adversary step, the full-path topology diff, and the
+//     connectivity BFS of a churn round over the engine's CSR snapshot and
+//     over the adversary's working Graph, at 8n and a sparse 3n edges.  The
+//     BFS is the one walk every round still pays, though it scans only part
+//     of the arcs; the snapshot and the diff are O(n + m) only on the full
+//     path.
 //   BM_IngestDelta vs BM_IngestRebuild — the engine's snapshot + tracker
 //     ingest of one churn round from the committed graph's net delta (a
 //     bucket and locate pass, then one segment-copy pass each over the CSR
@@ -249,11 +252,15 @@ void BM_IngestRebuild(benchmark::State& state) {
 BENCHMARK(BM_IngestRebuild)->Args({512, 8})->Args({2048, 4});
 
 /// The engines' per-round connectivity check: one BFS labelling of a CSR
-/// snapshot.  It cycles through 64 churn rounds, because a walk repeated
-/// over one graph lets the branch predictor learn it.
+/// snapshot.  It cycles through 64 churn rounds (n, degree·n edges),
+/// because a walk repeated over one graph lets the branch predictor learn
+/// it.
 void BM_ComponentsCsr(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::vector<RoundGraphView> views = churn_snapshots(n, 64);
+  std::vector<RoundGraphView> views;
+  for (const Graph& g : churn_rounds(static_cast<std::size_t>(state.range(0)),
+                                     static_cast<std::size_t>(state.range(1)), 64)) {
+    views.emplace_back(g);
+  }
   ConnectivityChecker checker;
   std::size_t i = 0;
   for (auto _ : state) {
@@ -261,7 +268,22 @@ void BM_ComponentsCsr(benchmark::State& state) {
     i = (i + 1) % views.size();
   }
 }
-BENCHMARK(BM_ComponentsCsr)->Arg(512)->Arg(4096);
+BENCHMARK(BM_ComponentsCsr)->Args({512, 8})->Args({4096, 8})->Args({4096, 3});
+
+/// The incremental adversaries' labelling of their working Graph over the
+/// same 64 churn rounds.
+void BM_ComponentsGraph(benchmark::State& state) {
+  const std::vector<Graph> graphs =
+      churn_rounds(static_cast<std::size_t>(state.range(0)),
+                   static_cast<std::size_t>(state.range(1)), 64);
+  ConnectivityChecker checker;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(checker.components(graphs[i]).count);
+    i = (i + 1) % graphs.size();
+  }
+}
+BENCHMARK(BM_ComponentsGraph)->Args({512, 8})->Args({4096, 8})->Args({4096, 3});
 
 void BM_FreeGraphAnalysis(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -60,20 +60,21 @@ const Graph& RequestCutterAdversary::unicast_round(const UnicastRoundView& view)
     if (banned(edge_key(u, v))) continue;
     current_.add_edge(u, v);
   }
-  // Reconnect components without resurrecting a banned edge.
-  for (std::size_t count = connectivity_.components(current_).count; count > 1;
-       count = connectivity_.components(current_).count) {
-    for (std::size_t c = 1; c < count; ++c) {
-      // Try random member pairs; a banned pair is re-rolled (some non-banned
-      // pair always exists once components have >= 2 nodes total choices;
-      // bounded retries keep this safe even in tiny graphs).
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        const NodeId a = rng_.pick(connectivity_.members(c - 1));
-        const NodeId b = rng_.pick(connectivity_.members(c));
-        if (attempt < 48 && banned(edge_key(a, b))) continue;
-        current_.add_edge(a, b);
-        break;
-      }
+  // Reconnect components without resurrecting a banned edge: one fresh edge
+  // between each pair of adjacent labels chains them, so one labelling
+  // serves the whole repair.
+  const std::size_t count = connectivity_.components(current_).count;
+  for (std::size_t c = 1; c < count; ++c) {
+    // Try random member pairs; a banned pair is re-rolled for 48 attempts,
+    // after which the ban yields (a tiny graph may offer no other pair).
+    // Either way the edge joins two components, so it is always new.
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      const NodeId a = rng_.pick(connectivity_.members(c - 1));
+      const NodeId b = rng_.pick(connectivity_.members(c));
+      if (attempt < 48 && banned(edge_key(a, b))) continue;
+      const bool fresh = current_.add_edge(a, b);
+      DG_CHECK(fresh);
+      break;
     }
   }
   current_.commit();

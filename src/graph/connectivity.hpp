@@ -40,8 +40,11 @@ struct ComponentInfo {
 /// BFS over either graph form, allocation-free once the buffers have grown
 /// to the node count.  Each engine checks its CSR snapshot with one every
 /// round (the model requires every G_r to be connected); the incremental
-/// adversaries label and repair their working Graph with one.  On a
-/// connected graph every call is one O(n + m) walk with no RNG draw.
+/// adversaries label and repair their working Graph with one.  Each call
+/// is exact but rarely a full O(n + m) walk: once few nodes are unseen it
+/// looks for a seen neighbor of each instead of scanning the queued nodes'
+/// arcs, it stops once every node is queued, and a connected graph gets
+/// label 0 everywhere with nothing to sort.  No call draws from an RNG.
 class ConnectivityChecker {
  public:
   /// True iff the snapshot's graph is connected (vacuously true, n <= 1).

@@ -16,7 +16,8 @@
 //     each round and the full-graph adversaries, or a graph altered after
 //     its commit): the O(n + m) rebuild plus the tracker's block-by-block
 //     diff.
-// The connectivity BFS runs on the snapshot either way.
+// The connectivity BFS runs on the snapshot either way; it is exact, and
+// O(n + m) only in the worst case (see ConnectivityChecker).
 #pragma once
 
 #include <atomic>

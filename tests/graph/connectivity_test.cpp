@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <limits>
 #include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -172,6 +173,54 @@ TEST(Connectivity, CheckerMatchesUnionFindOracle) {
   }
 }
 
+// Nodes dealt at random into `groups` components (ids interleaved), each a
+// random tree plus `extra` random intra-group edges overall.
+Graph random_forest(std::size_t n, std::size_t groups, std::size_t extra, Rng& rng) {
+  Graph g(n);
+  std::vector<std::vector<NodeId>> members(groups);
+  for (NodeId v = 0; v < n; ++v) members[rng.next_below(groups)].push_back(v);
+  for (std::vector<NodeId>& m : members) {
+    rng.shuffle(m);
+    for (std::size_t i = 1; i < m.size(); ++i) g.add_edge(m[i], m[rng.next_below(i)]);
+  }
+  for (std::size_t i = 0; i < extra; ++i) {
+    const std::vector<NodeId>& m = members[rng.next_below(groups)];
+    if (m.size() < 2) continue;
+    const NodeId a = rng.pick(m);
+    const NodeId b = rng.pick(m);
+    if (a != b) g.add_edge(a, b);
+  }
+  return g;
+}
+
+// The checker's labelling of both graph forms, and the free functions
+// against the union-find oracle: count, labels, representatives, and (when
+// disconnected) every member slice against the oracle's node-ordered
+// member lists.
+void expect_matches_oracle(ConnectivityChecker& checker, const Graph& g,
+                           const std::string& what) {
+  const ComponentInfo want = union_find_components(g);
+  std::vector<std::vector<NodeId>> want_members(want.count);
+  for (NodeId v = 0; v < g.num_nodes(); ++v) want_members[want.labels[v]].push_back(v);
+  const RoundGraphView view(g);
+  for (const bool csr : {false, true}) {
+    const ComponentInfo& got = csr ? checker.components(view) : checker.components(g);
+    const std::string form = what + (csr ? " (csr)" : " (graph)");
+    expect_same_components(got, want, form.c_str());
+    if (want.count <= 1) continue;
+    for (std::size_t c = 0; c < want.count; ++c) {
+      const std::span<const NodeId> m = checker.members(c);
+      EXPECT_EQ(std::vector<NodeId>(m.begin(), m.end()), want_members[c])
+          << form << " label " << c;
+    }
+  }
+  EXPECT_EQ(checker.is_connected(g), want.count <= 1) << what;
+  EXPECT_EQ(checker.is_connected(view), want.count <= 1) << what;
+  const std::string free_fn = what + " (free function)";
+  expect_same_components(connected_components(g), want, free_fn.c_str());
+  EXPECT_EQ(is_connected(g), want.count <= 1) << what;
+}
+
 TEST(Connectivity, BfsLabellingMatchesUnionFind) {
   Rng rng(47);
   ConnectivityChecker checker;  // reused across graphs of changing size
@@ -181,36 +230,10 @@ TEST(Connectivity, BfsLabellingMatchesUnionFind) {
     // components to connected.
     for (const std::size_t m : {std::size_t{0}, n / 4, n / 2, n, 3 * n}) {
       for (int trial = 0; trial < 4; ++trial) {
-        const Graph g = random_sparse_graph(n, m, rng);
-        const ComponentInfo want = union_find_components(g);
-        expect_same_components(checker.components(g), want, "checker");
-        expect_same_components(connected_components(g), want, "free function");
-        EXPECT_EQ(checker.is_connected(g), want.count <= 1);
-        EXPECT_EQ(checker.is_connected(RoundGraphView(g)), want.count <= 1);
-        EXPECT_EQ(checker.components(RoundGraphView(g)).count, want.count);
-        EXPECT_EQ(is_connected(g), want.count <= 1);
+        expect_matches_oracle(checker, random_sparse_graph(n, m, rng),
+                              "n=" + std::to_string(n) + " m=" + std::to_string(m));
       }
     }
-  }
-}
-
-TEST(Connectivity, MembersAreSortedComponentSlices) {
-  Rng rng(48);
-  ConnectivityChecker checker;
-  for (int trial = 0; trial < 20; ++trial) {
-    const Graph g = random_sparse_graph(50, 30, rng);
-    const ComponentInfo& info = checker.components(g);
-    ASSERT_GT(info.count, 1u);
-    std::size_t total = 0;
-    for (std::size_t c = 0; c < info.count; ++c) {
-      const std::span<const NodeId> m = checker.members(c);
-      ASSERT_FALSE(m.empty());
-      EXPECT_EQ(m.front(), info.representatives[c]);
-      EXPECT_TRUE(std::is_sorted(m.begin(), m.end()));
-      for (const NodeId v : m) EXPECT_EQ(info.labels[v], c);
-      total += m.size();
-    }
-    EXPECT_EQ(total, g.num_nodes());
   }
 }
 
@@ -232,6 +255,40 @@ TEST(Connectivity, RepairMatchesUnionFindDraws) {
     EXPECT_EQ(got_g.sorted_edges(), want_g.sorted_edges());
     EXPECT_EQ(got_rng.next(), want_rng.next()) << "rng streams diverged";
     EXPECT_TRUE(checker.is_connected(got_g));
+  }
+}
+
+// The shapes where the walk stops early or sweeps its last nodes bottom-up
+// (n <= 2 is covered above).  The checker is reused throughout, so labels
+// left over from a disconnected graph would show on the next connected one.
+TEST(Connectivity, EarlyExitLabellingMatchesUnionFindOracle) {
+  Rng rng(50);
+  ConnectivityChecker checker;
+  const std::size_t sizes[] = {3, 17, 96, 257};
+  for (const std::size_t n : sizes) {
+    for (int trial = 0; trial < 6; ++trial) {
+      const std::string at =
+          " n=" + std::to_string(n) + " trial " + std::to_string(trial);
+      expect_matches_oracle(checker, random_tree(n, rng), "tree" + at);
+      // The cutter's 3n-edge and the frontier's 8n-edge round shapes.
+      expect_matches_oracle(checker, random_connected_with_edges(n, 3 * n, rng),
+                            "3n edges" + at);
+      expect_matches_oracle(checker, random_connected_with_edges(n, 8 * n, rng),
+                            "8n edges" + at);
+      // The last node isolated: the walk over everything else never fills
+      // the queue, and node n-1 is its own last component.
+      Graph isolated(n);
+      random_tree(n - 1, rng).for_each_edge([&isolated](EdgeKey key) {
+        const auto [u, v] = edge_endpoints(key);
+        isolated.add_edge(u, v);
+      });
+      expect_matches_oracle(checker, isolated, "isolated last node" + at);
+      // Interleaved components: the last one found fills the queue with
+      // nodes still waiting to be scanned.
+      expect_matches_oracle(checker, random_forest(n, 2, n, rng), "two components" + at);
+      expect_matches_oracle(checker, random_forest(n, 1 + rng.next_below(n), n / 2, rng),
+                            "many components" + at);
+    }
   }
 }
 
