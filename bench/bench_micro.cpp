@@ -69,7 +69,6 @@
 #include "graph/round_view.hpp"
 #include "metrics/potential.hpp"
 #include "sim/runner/thread_pool.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -468,9 +467,11 @@ void BM_AlgoTrialDirect(benchmark::State& state) {
   std::uint64_t seed = 600;
   for (auto _ : state) {
     ChurnAdversary adversary(algo_dispatch_churn(n, ++seed));
-    const RunResult r = run_single_source(
-        n, k, 0, adversary, static_cast<Round>(200ull * n * k));
-    benchmark::DoNotOptimize(r.metrics.unicast.total());
+    const SingleSourceConfig cfg{n, k, 0};
+    UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
+                         SingleSourceNode::initial_knowledge(cfg), k);
+    const RunMetrics m = engine.run(static_cast<Round>(200ull * n * k));
+    benchmark::DoNotOptimize(m.unicast.total());
   }
 }
 BENCHMARK(BM_AlgoTrialDirect)->Arg(48)->Arg(96);

@@ -6,10 +6,14 @@
 #include <utility>
 
 #include "async/async_engine.hpp"
+#include "core/flooding.hpp"
 #include "core/multi_source.hpp"
 #include "core/neighbor_exchange.hpp"
+#include "core/random_flooding.hpp"
 #include "core/single_source.hpp"
+#include "core/spanning_tree.hpp"
 #include "core/tokens.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
 #include "fault/fault_plan.hpp"
 #include "sim/simulator.hpp"
@@ -117,7 +121,10 @@ RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   const TokenSpacePtr space =
       spread_space(ctx.n, ctx.k, r.sources(ctx.sources));
   ctx.k_realized = space->total_tokens();
-  return run_multi_source(ctx.n, space, adversary, cap_of(ctx), ctx);
+  UnicastEngine engine(MultiSourceNode::make_all({ctx.n, space}), adversary,
+                       space->initial_knowledge(ctx.n), space->total_tokens(),
+                       {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 /// Shared K_v(0) selection for the knowledge-shaped broadcast/push
@@ -142,24 +149,30 @@ RunResult run_multi_source_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
 RunResult run_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                               Adversary& adversary) {
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
-  return run_phase_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
-                            initial, adversary, cap_of(ctx), ctx);
+  const auto k = static_cast<std::size_t>(ctx.k_realized);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(ctx.n, k, initial),
+                         adversary, initial, k, {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 RunResult run_random_flooding_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                                      Adversary& adversary) {
   const SpecReader r(spec, ctx);
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
-  return run_random_flooding(ctx.n, static_cast<std::size_t>(ctx.k_realized),
-                             initial, adversary, cap_of(ctx), r.seed(), ctx);
+  const auto k = static_cast<std::size_t>(ctx.k_realized);
+  BroadcastEngine engine(
+      RandomFloodingNode::make_all(ctx.n, k, initial, r.seed()), adversary,
+      initial, k, {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 RunResult run_neighbor_exchange_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
                                        Adversary& adversary) {
   const std::vector<KnowledgeSet> initial = initial_of(spec, ctx, &ctx.k_realized);
-  return to_run_result(run_neighbor_exchange(
-      ctx.n, static_cast<std::size_t>(ctx.k_realized), initial, adversary,
-      cap_of(ctx), ctx));
+  const auto k = static_cast<std::size_t>(ctx.k_realized);
+  UnicastEngine engine(NeighborExchangeNode::make_all(ctx.n, k, initial),
+                       adversary, initial, k, {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 RunResult run_oblivious_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
@@ -193,8 +206,10 @@ RunResult run_spanning_tree_family(const AlgoSpec& spec, AlgoBuildContext& ctx,
   if (root >= ctx.n) fail("spanning_tree: root must be < n");
   const TokenSpacePtr space = spread_space(ctx.n, ctx.k, r.sources(1));
   ctx.k_realized = space->total_tokens();
-  return run_spanning_tree(ctx.n, space, adversary, cap_of(ctx),
-                           static_cast<NodeId>(root), ctx);
+  UnicastEngine engine(
+      SpanningTreeNode::make_all({ctx.n, space, static_cast<NodeId>(root)}),
+      adversary, space->initial_knowledge(ctx.n), space->total_tokens(), {ctx});
+  return to_run_result(engine.run(cap_of(ctx)));
 }
 
 /// Shared core of the asynchronous push / push-pull families: knowledge-

@@ -96,10 +96,13 @@ struct AlgoBuildContext : RunOptions {
   /// the oblivious walk/center election); spec seed= wins.  Deterministic
   /// families ignore it.
   std::uint64_t seed = 1;
-  /// Optional explicit K_v(0) override (upper_bounds-style random initial
-  /// placement).  Only the knowledge-shaped families (flooding,
-  /// random_flooding, neighbor_exchange) accept it; the token-labelling
-  /// families derive K_v(0) from their TokenSpace and reject an override.
+  /// Optional explicit K_v(0) override.  `upper_bounds` sets it for its
+  /// random one-holder-per-token placement (flooding, neighbor_exchange),
+  /// and `lb_broadcast` and the `ablations` lb trial for flooding against
+  /// an lb adversary built from the same K_v(0).  Only the knowledge-shaped
+  /// families (flooding, random_flooding, neighbor_exchange, the async
+  /// pair) accept it; the token-labelling families derive K_v(0) from
+  /// their TokenSpace and reject an override.
   const std::vector<KnowledgeSet>* initial_knowledge = nullptr;
   /// Out: realized token count (k rounded to the realized labelling, e.g.
   /// s·⌊k/s⌋ under an s-source split).  Set by every factory.

@@ -50,13 +50,4 @@ std::vector<std::unique_ptr<UnicastAlgorithm>> NeighborExchangeNode::make_all(
   return nodes;
 }
 
-RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
-                                 const std::vector<KnowledgeSet>& initial,
-                                 Adversary& adversary, Round max_rounds,
-                                 const RunOptions& run) {
-  UnicastEngine engine(NeighborExchangeNode::make_all(n, k, initial), adversary,
-                       initial, k, {run});
-  return engine.run(max_rounds);
-}
-
 }  // namespace dyngossip

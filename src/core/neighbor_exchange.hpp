@@ -50,12 +50,4 @@ class NeighborExchangeNode final : public UnicastAlgorithm {
   std::unordered_map<NodeId, std::size_t> sent_up_to_;
 };
 
-/// Runs the baseline to completion (or the round cap); `run` forwards to
-/// the engine (same contract as the sim/simulator.hpp entry points).
-[[nodiscard]] RunMetrics run_neighbor_exchange(std::size_t n, std::size_t k,
-                                               const std::vector<KnowledgeSet>& initial,
-                                               Adversary& adversary,
-                                               Round max_rounds,
-                                               const RunOptions& run = {});
-
 }  // namespace dyngossip

@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "algo/registry.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/single_source.hpp"
@@ -126,8 +127,12 @@ LbTrial lb_trial(std::size_t n, std::size_t k, bool full, std::size_t i) {
   bctx.initial_knowledge = &init;
   const std::unique_ptr<Adversary> adversary =
       AdversaryRegistry::global().build(spec, bctx);
-  const RunResult r =
-      run_phase_flooding(n, k, init, *adversary, static_cast<Round>(100 * n * k));
+  AlgoBuildContext task;
+  task.n = n;
+  task.k = static_cast<std::uint32_t>(k);
+  task.cap = static_cast<Round>(100 * n * k);
+  task.initial_knowledge = &init;
+  const RunResult r = run_algo(AlgoSpec{"flooding", {}}, task, *adversary);
   LbTrial t;
   if (!r.completed) return t;
   t.ok = true;

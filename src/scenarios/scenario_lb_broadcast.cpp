@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "adversary/registry.hpp"
+#include "algo/registry.hpp"
 #include "common/mathx.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
@@ -17,7 +18,6 @@
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
 #include "sim/runner/parallel.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -56,8 +56,13 @@ ScenarioResult run(const ScenarioContext& ctx) {
         bctx.initial_knowledge = &init;
         const std::unique_ptr<Adversary> adversary =
             AdversaryRegistry::global().build(AdversarySpec{"lb", {}}, bctx);
-        const RunResult result = run_phase_flooding(
-            n, k, init, *adversary, static_cast<Round>(100 * n * k));
+        AlgoBuildContext task;
+        task.n = n;
+        task.k = static_cast<std::uint32_t>(k);
+        task.cap = static_cast<Round>(100 * n * k);
+        task.initial_knowledge = &init;
+        const RunResult result =
+            run_algo(AlgoSpec{"flooding", {}}, task, *adversary);
         if (!result.completed) return;
         TrialOut& t = out[r][i];
         t.ok = true;

@@ -1,21 +1,24 @@
 // Scenario `multi_source` — Theorems 3.5 / 3.6: Multi-Source-Unicast.
 //
-// Table A sweeps the source count s at
-// fixed n, k and checks the O(n²s + nk) competitive message bound (plus the
-// empirical growth exponent of the completeness traffic in s); Table B
-// checks the O(nk) round bound on 3-edge-stable churn.
+// Table A sweeps the source count s at fixed n, k and checks the
+// O(n²s + nk) competitive message bound (plus the empirical growth exponent
+// of the completeness traffic in s); Table B checks the O(nk) round bound
+// on 3-edge-stable churn.  Every trial is a keyed `multi_source` run
+// (sources at i·(n/s), k/s tokens each; s divides n at every grid point),
+// so a --cache= re-run serves the grid from disk and --probe records one
+// series per trial.
 
 #include <algorithm>
-#include <memory>
+#include <string>
 #include <vector>
 
+#include "cache/memo_sweep.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "fault/fault_spec.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
-#include "sim/runner/parallel.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -28,69 +31,96 @@ AdversarySpec churn_spec(std::size_t target_edges, std::size_t churn_per_round) 
   return spec;
 }
 
-TokenSpacePtr spread(std::size_t n, std::size_t s, std::uint32_t k_total) {
-  std::vector<TokenSpace::SourceSpec> specs;
-  const auto per = std::max<std::uint32_t>(1, k_total / static_cast<std::uint32_t>(s));
-  for (std::size_t i = 0; i < s; ++i) {
-    specs.push_back({static_cast<NodeId>(i * n / s), per});
-  }
-  return std::make_shared<TokenSpace>(TokenSpace::contiguous(specs));
+/// One table row's trials: n nodes, s sources holding k tokens in all,
+/// each trial on its own seed.
+struct Row {
+  std::size_t n;
+  std::size_t s;
+  std::uint32_t k;
+  Round cap;
+  AdversarySpec schedule;
+  std::uint64_t seed0;  ///< trial i runs on seed0 + i
+  std::string label;    ///< probe series prefix
+};
+
+/// The token count the family realizes for `k` requested over s sources:
+/// max(1, k/s) tokens per source.
+std::uint32_t realized_k(std::uint32_t k, std::size_t s) {
+  const auto per_source = std::max<std::uint32_t>(1, k / static_cast<std::uint32_t>(s));
+  return static_cast<std::uint32_t>(s) * per_source;
 }
 
-struct TrialOut {
-  bool ok = false;
-  double tokens = 0, completeness = 0, requests = 0, tc = 0;
-  double residual = 0, norm = 0, rounds = 0;
+/// Runs every row's `seeds` trials as one memoized sweep, row-major.
+std::vector<MemoOutcome> sweep_rows(const std::vector<Row>& rows,
+                                    std::size_t seeds,
+                                    const ScenarioContext& ctx) {
+  const std::string fault_text = FaultSpec{}.to_string();
+  std::vector<KeyedTrial> sweep;
+  sweep.reserve(rows.size() * seeds);
+  for (const Row& row : rows) {
+    for (std::size_t i = 0; i < seeds; ++i) {
+      KeyedTrial trial;
+      trial.key = make_run_key("multi_source", row.schedule.to_string(),
+                               fault_text, row.n, row.k, row.s, row.cap,
+                               row.seed0 + i);
+      trial.cacheable = true;
+      trial.series = row.label + " trial=" + std::to_string(i);
+      sweep.push_back(std::move(trial));
+    }
+  }
+  return memoized_sweep(sweep, ctx);
+}
+
+/// Means over one row's completed trials.
+struct RowStats {
+  RunningStat tokens, completeness, requests, tc, residual, norm, rounds;
+  std::size_t done = 0;
+
+  RowStats(const Row& row, const MemoOutcome* trials, std::size_t seeds) {
+    const double bound = bounds::multi_source_messages(row.n, row.k, row.s);
+    for (std::size_t i = 0; i < seeds; ++i) {
+      const RunMetrics& m = trials[i].row.metrics;
+      if (!m.completed) continue;
+      ++done;
+      tokens.add(static_cast<double>(m.unicast.token));
+      completeness.add(static_cast<double>(m.unicast.completeness));
+      requests.add(static_cast<double>(m.unicast.request));
+      tc.add(static_cast<double>(m.tc));
+      const double res = m.competitive_residual(1.0);
+      residual.add(res);
+      norm.add(res / bound);
+      rounds.add(static_cast<double>(m.rounds));
+    }
+  }
 };
+
+std::string done_of(const RowStats& st, std::size_t seeds) {
+  return std::to_string(st.done) + "/" + std::to_string(seeds);
+}
+
+std::vector<std::string> time_cells(const Row& row, const RowStats& st,
+                                    std::size_t seeds) {
+  return {std::to_string(row.n), std::to_string(row.s), std::to_string(row.k),
+          TablePrinter::num(st.rounds.mean(), 0),
+          TablePrinter::num(
+              st.rounds.mean() / bounds::stable_round_bound(row.n, row.k), 3),
+          done_of(st, seeds)};
+}
 
 /// `--scale=large`: n ∈ {1024, 4096, 10000} with s = 4 sources, k = 256,
 /// 8n-edge churn, one trial — the flat-snapshot engine path at 10⁴ nodes.
 /// One row set feeds both the message-bound and the round-bound table.
 ScenarioResult run_large(const ScenarioContext& ctx) {
   const std::size_t seeds = ctx.trials_or(1);
-  const std::vector<std::size_t> ns{1024, 4096, 10000};
   constexpr std::size_t kSources = 4;
-  constexpr std::uint32_t kTotal = 256;
-
-  struct Row {
-    std::size_t n;
-    TokenSpacePtr space;
-    std::uint64_t k;
-  };
+  const std::uint32_t k = realized_k(256, kSources);
   std::vector<Row> rows;
-  for (const std::size_t n : ns) {
-    Row row{n, spread(n, kSources, kTotal), 0};
-    row.k = row.space->total_tokens();
-    rows.push_back(std::move(row));
+  for (const std::size_t n : {1024u, 4096u, 10000u}) {
+    rows.push_back({n, kSources, k, static_cast<Round>(100 * k + n),
+                    churn_spec(8 * n, n / 8), 13'000 + 7 * kSources,
+                    "multi_source n=" + std::to_string(n)});
   }
-
-  std::vector<std::vector<TrialOut>> out(rows.size(), std::vector<TrialOut>(seeds));
-  JobBatch batch;
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    for (std::size_t i = 0; i < seeds; ++i) {
-      batch.add([&out, &rows, r, i] {
-        const Row& row = rows[r];
-        const std::unique_ptr<Adversary> adversary =
-            build_adversary(churn_spec(8 * row.n, row.n / 8), row.n,
-                            13'000 + 7 * kSources + i);
-        const RunResult res = run_multi_source(
-            row.n, row.space, *adversary,
-            static_cast<Round>(100 * row.k + row.n));
-        TrialOut& t = out[r][i];
-        t.ok = res.completed;
-        if (!res.completed) return;
-        t.tokens = static_cast<double>(res.metrics.unicast.token);
-        t.completeness = static_cast<double>(res.metrics.unicast.completeness);
-        t.requests = static_cast<double>(res.metrics.unicast.request);
-        t.tc = static_cast<double>(res.metrics.tc);
-        t.residual = res.metrics.competitive_residual(1.0);
-        t.norm = t.residual /
-                 bounds::multi_source_messages(row.n, row.k, kSources);
-        t.rounds = static_cast<double>(res.rounds);
-      });
-    }
-  }
-  batch.run(ctx.pool());
+  const std::vector<MemoOutcome> out = sweep_rows(rows, seeds, ctx);
 
   ScenarioTable msg_table;
   msg_table.title =
@@ -104,34 +134,17 @@ ScenarioResult run_large(const ScenarioContext& ctx) {
   time_table.columns = {"n", "s", "k", "rounds", "rounds/nk", "completed"};
   for (std::size_t r = 0; r < rows.size(); ++r) {
     const Row& row = rows[r];
-    RunningStat tokens, completeness, requests, tc, residual, norm, rounds;
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < seeds; ++i) {
-      const TrialOut& t = out[r][i];
-      if (!t.ok) continue;
-      ++done;
-      tokens.add(t.tokens);
-      completeness.add(t.completeness);
-      requests.add(t.requests);
-      tc.add(t.tc);
-      residual.add(t.residual);
-      norm.add(t.norm);
-      rounds.add(t.rounds);
-    }
+    const RowStats st(row, &out[r * seeds], seeds);
     msg_table.rows.push_back(
         {std::to_string(row.n), std::to_string(row.k),
-         TablePrinter::num(tokens.mean(), 0),
-         TablePrinter::num(completeness.mean(), 0),
-         TablePrinter::num(requests.mean(), 0), TablePrinter::num(tc.mean(), 0),
-         TablePrinter::num(residual.mean(), 0), TablePrinter::num(norm.mean(), 3),
-         TablePrinter::num(rounds.mean(), 0),
-         std::to_string(done) + "/" + std::to_string(seeds)});
-    time_table.rows.push_back(
-        {std::to_string(row.n), std::to_string(kSources), std::to_string(row.k),
-         TablePrinter::num(rounds.mean(), 0),
-         TablePrinter::num(rounds.mean() / bounds::stable_round_bound(row.n, row.k),
-                           3),
-         std::to_string(done) + "/" + std::to_string(seeds)});
+         TablePrinter::num(st.tokens.mean(), 0),
+         TablePrinter::num(st.completeness.mean(), 0),
+         TablePrinter::num(st.requests.mean(), 0),
+         TablePrinter::num(st.tc.mean(), 0),
+         TablePrinter::num(st.residual.mean(), 0),
+         TablePrinter::num(st.norm.mean(), 3),
+         TablePrinter::num(st.rounds.mean(), 0), done_of(st, seeds)});
+    time_table.rows.push_back(time_cells(row, st, seeds));
   }
   msg_table.note =
       "Expected shape: residual/(n^2 s + nk) stays a small constant as n\n"
@@ -171,76 +184,26 @@ ScenarioResult run(const ScenarioContext& ctx) {
   const std::vector<std::size_t> source_counts =
       quick ? std::vector<std::size_t>{2, 8, 32}
             : std::vector<std::size_t>{2, 4, 8, 16, 64};
-  struct MsgRow {
-    std::size_t s;
-    TokenSpacePtr space;
-    std::uint64_t k;
-  };
-  std::vector<MsgRow> msg_rows;
-  for (const std::size_t s : source_counts) {
-    MsgRow row{s, spread(n, s, k_total), 0};
-    row.k = row.space->total_tokens();
-    msg_rows.push_back(std::move(row));
-  }
-
   // ---- Table B: round bound on stable graphs ----------------------------
   const std::vector<std::size_t> ns =
       quick ? std::vector<std::size_t>{16, 32} : std::vector<std::size_t>{16, 32, 64};
-  struct TimeRow {
-    std::size_t n;
-    std::size_t s;
-    TokenSpacePtr space;
-    std::uint64_t k;
-  };
-  std::vector<TimeRow> time_rows;
+
+  // Message rows first, then time rows: one sweep fans out every trial.
+  std::vector<Row> rows;
+  for (const std::size_t s : source_counts) {
+    const std::uint32_t k = realized_k(k_total, s);
+    rows.push_back({n, s, k, static_cast<Round>(200 * n * k),
+                    churn_spec(3 * n, n / 8), 13'000 + 7 * s,
+                    "multi_source s=" + std::to_string(s)});
+  }
   for (const std::size_t nn : ns) {
     const std::size_t s = std::max<std::size_t>(2, nn / 4);
-    TimeRow row{nn, s, spread(nn, s, static_cast<std::uint32_t>(2 * nn)), 0};
-    row.k = row.space->total_tokens();
-    time_rows.push_back(std::move(row));
+    const std::uint32_t k = realized_k(static_cast<std::uint32_t>(2 * nn), s);
+    rows.push_back({nn, s, k, static_cast<Round>(200 * nn * k),
+                    churn_spec(3 * nn, std::max<std::size_t>(1, nn / 8)),
+                    15'000 + 5 * nn, "multi_source stable n=" + std::to_string(nn)});
   }
-
-  std::vector<std::vector<TrialOut>> msg_out(msg_rows.size(),
-                                             std::vector<TrialOut>(seeds));
-  std::vector<std::vector<TrialOut>> time_out(time_rows.size(),
-                                              std::vector<TrialOut>(seeds));
-  JobBatch batch;
-  for (std::size_t r = 0; r < msg_rows.size(); ++r) {
-    for (std::size_t i = 0; i < seeds; ++i) {
-      batch.add([&msg_out, &msg_rows, n, r, i] {
-        const MsgRow& row = msg_rows[r];
-        const std::unique_ptr<Adversary> adversary = build_adversary(
-            churn_spec(3 * n, n / 8), n, 13'000 + 7 * row.s + i);
-        const RunResult res = run_multi_source(n, row.space, *adversary,
-                                               static_cast<Round>(200 * n * row.k));
-        if (!res.completed) return;
-        TrialOut& t = msg_out[r][i];
-        t.ok = true;
-        t.tokens = static_cast<double>(res.metrics.unicast.token);
-        t.completeness = static_cast<double>(res.metrics.unicast.completeness);
-        t.requests = static_cast<double>(res.metrics.unicast.request);
-        t.tc = static_cast<double>(res.metrics.tc);
-        t.residual = res.metrics.competitive_residual(1.0);
-        t.norm = t.residual / bounds::multi_source_messages(n, row.k, row.s);
-        t.rounds = static_cast<double>(res.rounds);
-      });
-    }
-  }
-  for (std::size_t r = 0; r < time_rows.size(); ++r) {
-    for (std::size_t i = 0; i < seeds; ++i) {
-      batch.add([&time_out, &time_rows, r, i] {
-        const TimeRow& row = time_rows[r];
-        const std::unique_ptr<Adversary> adversary = build_adversary(
-            churn_spec(3 * row.n, std::max<std::size_t>(1, row.n / 8)), row.n,
-            15'000 + 5 * row.n + i);
-        const RunResult res = run_multi_source(
-            row.n, row.space, *adversary, static_cast<Round>(200 * row.n * row.k));
-        time_out[r][i].ok = res.completed;
-        time_out[r][i].rounds = static_cast<double>(res.rounds);
-      });
-    }
-  }
-  batch.run(ctx.pool());
+  const std::vector<MemoOutcome> out = sweep_rows(rows, seeds, ctx);
 
   ScenarioTable msg_table;
   msg_table.title = "Theorem 3.5: O(n^2 s + nk) competitive messages (n=" +
@@ -249,30 +212,22 @@ ScenarioResult run(const ScenarioContext& ctx) {
                        "requests", "TC(E)", "residual", "residual/(n^2 s+nk)",
                        "rounds"};
   std::vector<double> s_axis, completeness_axis;
-  for (std::size_t r = 0; r < msg_rows.size(); ++r) {
-    const MsgRow& row = msg_rows[r];
-    RunningStat tokens, completeness, requests, tc, residual, norm, rounds;
-    for (std::size_t i = 0; i < seeds; ++i) {
-      const TrialOut& t = msg_out[r][i];
-      if (!t.ok) continue;
-      tokens.add(t.tokens);
-      completeness.add(t.completeness);
-      requests.add(t.requests);
-      tc.add(t.tc);
-      residual.add(t.residual);
-      norm.add(t.norm);
-      rounds.add(t.rounds);
-    }
+  for (std::size_t r = 0; r < source_counts.size(); ++r) {
+    const Row& row = rows[r];
+    const RowStats st(row, &out[r * seeds], seeds);
     msg_table.rows.push_back(
         {std::to_string(row.s), std::to_string(row.k),
-         TablePrinter::num(tokens.mean(), 0), TablePrinter::num(completeness.mean(), 0),
-         TablePrinter::num(requests.mean(), 0), TablePrinter::num(tc.mean(), 0),
-         TablePrinter::num(residual.mean(), 0), TablePrinter::num(norm.mean(), 3),
-         TablePrinter::num(rounds.mean(), 0)});
+         TablePrinter::num(st.tokens.mean(), 0),
+         TablePrinter::num(st.completeness.mean(), 0),
+         TablePrinter::num(st.requests.mean(), 0),
+         TablePrinter::num(st.tc.mean(), 0),
+         TablePrinter::num(st.residual.mean(), 0),
+         TablePrinter::num(st.norm.mean(), 3),
+         TablePrinter::num(st.rounds.mean(), 0)});
     // Rows with no completed trial would feed 0 into the log-log fit.
-    if (completeness.count() > 0 && completeness.mean() > 0) {
+    if (st.completeness.count() > 0 && st.completeness.mean() > 0) {
       s_axis.push_back(static_cast<double>(row.s));
-      completeness_axis.push_back(completeness.mean());
+      completeness_axis.push_back(st.completeness.mean());
     }
   }
   msg_table.note =
@@ -284,20 +239,9 @@ ScenarioResult run(const ScenarioContext& ctx) {
   ScenarioTable time_table;
   time_table.title = "Theorem 3.6: O(nk) rounds on 3-edge-stable graphs";
   time_table.columns = {"n", "s", "k", "rounds", "rounds/nk", "completed"};
-  for (std::size_t r = 0; r < time_rows.size(); ++r) {
-    const TimeRow& row = time_rows[r];
-    RunningStat rounds;
-    std::size_t done = 0;
-    for (std::size_t i = 0; i < seeds; ++i) {
-      if (!time_out[r][i].ok) continue;
-      ++done;
-      rounds.add(time_out[r][i].rounds);
-    }
-    time_table.rows.push_back(
-        {std::to_string(row.n), std::to_string(row.s), std::to_string(row.k),
-         TablePrinter::num(rounds.mean(), 0),
-         TablePrinter::num(rounds.mean() / bounds::stable_round_bound(row.n, row.k), 3),
-         std::to_string(done) + "/" + std::to_string(seeds)});
+  for (std::size_t r = source_counts.size(); r < rows.size(); ++r) {
+    const RowStats st(rows[r], &out[r * seeds], seeds);
+    time_table.rows.push_back(time_cells(rows[r], st, seeds));
   }
   time_table.note =
       "Expected shape: completeness grows ~linearly in s (the n^2 s term);\n"

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "adversary/registry.hpp"
+#include "algo/registry.hpp"
 #include "common/mathx.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
@@ -84,8 +85,15 @@ ScenarioResult run(const ScenarioContext& ctx) {
         const std::uint64_t seed = 17'000 + 23 * n + i;
         const std::unique_ptr<Adversary> direct_adv =
             axes.build(churn_for(n), n, seed);
-        const RunResult direct = run_multi_source(
-            n, row.space, *direct_adv, static_cast<Round>(400 * n * row.k));
+        // n-gossip through the registry: sources = n places one token per
+        // node, the labelling n_gossip(n) hands the funnel below.
+        AlgoBuildContext task;
+        task.n = n;
+        task.k = static_cast<std::uint32_t>(row.k);
+        task.sources = n;
+        task.cap = static_cast<Round>(400 * n * row.k);
+        const RunResult direct =
+            run_algo(AlgoSpec{"multi_source", {}}, task, *direct_adv);
         const std::unique_ptr<Adversary> funnel_adv =
             axes.build(churn_for(n), n, seed);  // identical schedule
         ObliviousMsOptions opts;

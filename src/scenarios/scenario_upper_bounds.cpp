@@ -11,15 +11,14 @@
 #include <vector>
 
 #include "adversary/registry.hpp"
+#include "algo/registry.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
-#include "core/neighbor_exchange.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
 #include "sim/runner/parallel.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -56,10 +55,16 @@ ScenarioResult run(const ScenarioContext& ctx) {
         std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
         for (std::size_t t = 0; t < k; ++t) init[rng.next_below(n)].set(t);
         TrialOut& slot = out[r][i];
+        // One task for all three algorithms: n nodes, k tokens, K_v(0) the
+        // random placement above (flooding, push) or node 0 (Algorithm 1).
+        AlgoBuildContext task;
+        task.n = n;
+        task.k = k;
+        task.initial_knowledge = &init;
         {
           const std::unique_ptr<Adversary> adversary = axes.build(churn, n, seed);
-          const RunResult res = run_phase_flooding(n, k, init, *adversary,
-                                                   static_cast<Round>(10 * n * k));
+          task.cap = static_cast<Round>(10 * n * k);
+          const RunResult res = run_algo(AlgoSpec{"flooding", {}}, task, *adversary);
           if (res.completed) {
             slot.flood_ok = true;
             slot.flood_am = res.amortized(k);
@@ -69,18 +74,20 @@ ScenarioResult run(const ScenarioContext& ctx) {
         {
           // Same schedule, trivial unicast push.
           const std::unique_ptr<Adversary> adversary = axes.build(churn, n, seed);
-          const RunMetrics m = run_neighbor_exchange(
-              n, k, init, *adversary, static_cast<Round>(100 * n * k));
-          if (m.completed) {
+          task.cap = static_cast<Round>(100 * n * k);
+          const RunResult res =
+              run_algo(AlgoSpec{"neighbor_exchange", {}}, task, *adversary);
+          if (res.completed) {
             slot.push_ok = true;
-            slot.push_am = m.amortized(k);
+            slot.push_am = res.amortized(k);
           }
         }
         {
           // Same schedule, Algorithm 1.
           const std::unique_ptr<Adversary> adversary = axes.build(churn, n, seed);
-          const RunResult res = run_single_source(n, k, 0, *adversary,
-                                                  static_cast<Round>(100 * n * k));
+          task.initial_knowledge = nullptr;
+          const RunResult res =
+              run_algo(AlgoSpec{"single_source", {}}, task, *adversary);
           if (res.completed) {
             slot.uni_ok = true;
             slot.uni_am = res.amortized(k);

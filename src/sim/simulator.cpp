@@ -4,62 +4,12 @@
 
 #include "common/check.hpp"
 #include "common/mathx.hpp"
-#include "core/flooding.hpp"
 #include "core/multi_source.hpp"
 #include "core/oblivious_ms.hpp"
-#include "core/random_flooding.hpp"
-#include "core/single_source.hpp"
-#include "core/spanning_tree.hpp"
-#include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
 #include "sim/bounds.hpp"
 
 namespace dyngossip {
-
-RunResult run_single_source(std::size_t n, std::uint32_t k, NodeId source,
-                            Adversary& adversary, Round max_rounds,
-                            const RunOptions& run) {
-  SingleSourceConfig cfg{n, k, source};
-  UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
-                       SingleSourceNode::initial_knowledge(cfg), k, {run});
-  return to_run_result(engine.run(max_rounds));
-}
-
-RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
-                           Adversary& adversary, Round max_rounds,
-                           const RunOptions& run) {
-  MultiSourceConfig cfg{n, space};
-  UnicastEngine engine(MultiSourceNode::make_all(cfg), adversary,
-                       space->initial_knowledge(n), space->total_tokens(), {run});
-  return to_run_result(engine.run(max_rounds));
-}
-
-RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
-                            Adversary& adversary, Round max_rounds, NodeId root,
-                            const RunOptions& run) {
-  SpanningTreeConfig cfg{n, space, root};
-  UnicastEngine engine(SpanningTreeNode::make_all(cfg), adversary,
-                       space->initial_knowledge(n), space->total_tokens(), {run});
-  return to_run_result(engine.run(max_rounds));
-}
-
-RunResult run_phase_flooding(std::size_t n, std::size_t k,
-                             const std::vector<KnowledgeSet>& initial,
-                             Adversary& adversary, Round max_rounds,
-                             const RunOptions& run) {
-  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, initial), adversary,
-                         initial, k, {run});
-  return to_run_result(engine.run(max_rounds));
-}
-
-RunResult run_random_flooding(std::size_t n, std::size_t k,
-                              const std::vector<KnowledgeSet>& initial,
-                              Adversary& adversary, Round max_rounds,
-                              std::uint64_t seed, const RunOptions& run) {
-  BroadcastEngine engine(RandomFloodingNode::make_all(n, k, initial, seed),
-                         adversary, initial, k, {run});
-  return to_run_result(engine.run(max_rounds));
-}
 
 ObliviousMsResult run_oblivious_multi_source(std::size_t n,
                                              const TokenSpacePtr& space,
@@ -83,11 +33,11 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
       static_cast<double>(s) <= bounds::source_threshold(n) && !opts.force_phase1;
   if (small_s) {
     result.skipped_phase1 = true;
-    const RunResult direct =
-        run_multi_source(n, space, adversary, max_rounds, opts);
-    result.phase2 = direct.metrics;
-    result.total = direct.metrics;
-    result.completed = direct.completed;
+    UnicastEngine direct(MultiSourceNode::make_all({n, space}), adversary,
+                         space->initial_knowledge(n), k, {opts});
+    result.phase2 = direct.run(max_rounds);
+    result.total = result.phase2;
+    result.completed = result.phase2.completed;
     return result;
   }
 
@@ -139,12 +89,9 @@ ObliviousMsResult run_oblivious_multi_source(std::size_t n,
   UnicastEngine phase1(std::move(walkers), adversary,
                        space->initial_knowledge(n), k, ueopts);
 
-  const Round phase1_cap =
-      opts.phase1_cap > 0
-          ? opts.phase1_cap
-          : static_cast<Round>(std::min(
-                bounds::phase1_round_bound(n, k),
-                static_cast<double>(std::max<Round>(max_rounds / 2, 1))));
+  const auto phase1_cap = static_cast<Round>(
+      std::min(bounds::phase1_round_bound(n, k),
+               static_cast<double>(std::max<Round>(max_rounds / 2, 1))));
 
   auto all_settled = [&](const UnicastEngine& e) {
     for (NodeId v = 0; v < n; ++v) {

@@ -1,10 +1,10 @@
-// One-call simulators binding algorithm × adversary × metrics.
-//
-// These are the library's top-level entry points: each runs one paper
-// algorithm against a caller-supplied adversary and returns the measured
-// RunResult.  run_oblivious_multi_source implements the full two-phase
-// orchestration of Algorithm 2 (center election, walk phase, relabelled
-// phase-2 TokenSpace, metric merging) — see Section 3.2.2 and DESIGN.md.
+// Algorithm 2's two-phase driver (Oblivious-Multi-Source-Unicast,
+// Section 3.2.2): center election, the random-walk phase, the relabelled
+// phase-2 TokenSpace and the merged metrics.  Every other algorithm runs
+// through the registry (algo/registry.hpp: run_algo); this driver stays a
+// function of its own because `table1`, `oblivious_funnel` and `ablations`
+// read its phase split (centers, walk steps, phase-1 rounds), which a
+// RunResult does not carry.  The `oblivious` family wraps it.
 #pragma once
 
 #include <cstdint>
@@ -15,49 +15,15 @@
 
 namespace dyngossip {
 
-// Every entry point ends in the shared RunOptions (sim/run_options.hpp):
-// worker pool, fault plan, wall-clock budget and observers, forwarded to
-// every engine the run builds.  Multi-phase executions share one plan so
-// liveness history is continuous across phases.
-
-/// Runs Algorithm 1 (Single-Source-Unicast): all k tokens start at `source`.
-[[nodiscard]] RunResult run_single_source(std::size_t n, std::uint32_t k,
-                                          NodeId source, Adversary& adversary,
-                                          Round max_rounds,
-                                          const RunOptions& run = {});
-
-/// Runs Multi-Source-Unicast over an arbitrary token labelling.
-[[nodiscard]] RunResult run_multi_source(std::size_t n, const TokenSpacePtr& space,
-                                         Adversary& adversary, Round max_rounds,
-                                         const RunOptions& run = {});
-
-/// Runs the static spanning-tree baseline (static adversary required).
-[[nodiscard]] RunResult run_spanning_tree(std::size_t n, const TokenSpacePtr& space,
-                                          Adversary& adversary, Round max_rounds,
-                                          NodeId root = 0,
-                                          const RunOptions& run = {});
-
-/// Runs naive phase flooding (local broadcast) from an arbitrary initial
-/// knowledge assignment.
-[[nodiscard]] RunResult run_phase_flooding(std::size_t n, std::size_t k,
-                                           const std::vector<KnowledgeSet>& initial,
-                                           Adversary& adversary, Round max_rounds,
-                                           const RunOptions& run = {});
-
-/// Runs uniform-random flooding (local broadcast).
-[[nodiscard]] RunResult run_random_flooding(std::size_t n, std::size_t k,
-                                            const std::vector<KnowledgeSet>& initial,
-                                            Adversary& adversary, Round max_rounds,
-                                            std::uint64_t seed,
-                                            const RunOptions& run = {});
-
-/// Algorithm 2 options: the shared RunOptions (used by both phase engines;
-/// the timeout covers the whole two-phase run, and probe samples carry
-/// phase-continuous round numbers) plus the algorithm's own.
+/// Algorithm 2 options: the shared RunOptions plus the algorithm's own.
+/// Both phase engines get the same RunOptions: they share one fault plan
+/// (liveness history is continuous), the timeout covers the whole run, and
+/// probe samples carry phase-continuous round numbers.
 struct ObliviousMsOptions : RunOptions {
   std::uint64_t seed = 1;        ///< algorithm randomness (centers + walks)
-  Round max_rounds = 0;          ///< global cap (0: derive from n·k)
-  Round phase1_cap = 0;          ///< phase-1 cap (0: derive, clamped ℓ bound)
+  /// Global cap (0: derive from n·k).  Phase 1 stops at the clamped ℓ
+  /// bound min(phase1_round_bound, max_rounds/2).
+  Round max_rounds = 0;
   bool pseudocode_walk_prob = false;  ///< the 1/d(u) variant (paper typo)
   bool force_phase1 = false;     ///< run phase 1 even when s is small
   /// Overrides the expected center count f (0: paper formula

@@ -20,7 +20,6 @@
 #include "fault/fault_spec.hpp"
 #include "metrics/report.hpp"
 #include "sim/runner/json.hpp"
-#include "sim/simulator.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_adversary.hpp"
 #include "trace/trace_gen.hpp"

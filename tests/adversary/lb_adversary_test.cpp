@@ -10,7 +10,6 @@
 #include "graph/connectivity.hpp"
 #include "metrics/potential.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -251,9 +250,8 @@ TEST(LowerBoundAdversary, DenseInitialKnowledgeWithinTheoremPremise) {
   LowerBoundAdversary adversary(cfg, init);
   EXPECT_LE(adversary.initial_potential(),
             static_cast<std::uint64_t>(0.8 * n * k));
-  const RunResult r = run_phase_flooding(n, k, init, adversary,
-                                         static_cast<Round>(10 * n * k));
-  EXPECT_TRUE(r.completed);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  EXPECT_TRUE(engine.run(static_cast<Round>(10 * n * k)).completed);
 }
 
 TEST(LowerBoundAdversaryDeath, SaturatedInitialKnowledgeRejected) {

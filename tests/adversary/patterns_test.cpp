@@ -3,9 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/registry.hpp"
+#include "core/flooding.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/dynamic_tracker.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -49,7 +51,11 @@ TEST(RotatingStar, SingleSourceStillCompletesWithCompetitiveCost) {
   constexpr std::size_t n = 16;
   constexpr std::uint32_t k = 8;
   RotatingStarAdversary adversary(n, 6);
-  const RunResult r = run_single_source(n, k, 0, adversary, 200'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 200'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.metrics.learnings, static_cast<std::uint64_t>(n - 1) * k);
   EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
@@ -94,8 +100,8 @@ TEST(PathShuffle, FloodingCompletesDespiteThinConnectivity) {
   PathShuffleAdversary adversary(n, 9);
   std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
   for (std::size_t t = 0; t < k; ++t) init[t].set(t);
-  const RunResult r = run_phase_flooding(n, k, init, adversary,
-                                         static_cast<Round>(10 * n * k));
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics r = engine.run(static_cast<Round>(10 * n * k));
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.rounds, n * k);  // the guarantee holds against ANY adversary
 }

@@ -14,8 +14,8 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/sigma_stable.hpp"
+#include "algo/registry.hpp"
 #include "graph/generators.hpp"
-#include "sim/simulator.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_gen.hpp"
 #include "trace/trace_reader.hpp"
@@ -25,8 +25,11 @@ namespace dyngossip {
 namespace {
 
 std::uint64_t payload_of(Adversary& adversary, std::size_t n, std::uint32_t k) {
-  const RunResult r =
-      run_single_source(n, k, 0, adversary, static_cast<Round>(100 * n * k));
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = static_cast<Round>(100 * n * k);
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   return run_payload_checksum(n, k, r);
 }
 
@@ -176,8 +179,11 @@ TEST(AdversaryRegistry, EveryRunnableFamilyCompletesASmallRun) {
         "fresh", "sigma:interval=2", "star", "path", "cutter:p=0.3"}) {
     const std::unique_ptr<Adversary> adversary =
         build_adversary(AdversarySpec::parse(text), n, 7);
-    const RunResult r = run_single_source(n, k, 0, *adversary,
-                                          static_cast<Round>(200 * n * k));
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = static_cast<Round>(200 * n * k);
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, *adversary);
     EXPECT_TRUE(r.completed) << text;
   }
 }

@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/registry.hpp"
 #include "graph/connectivity.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -48,7 +48,11 @@ TEST(RequestCutter, FullCuttingStallsSingleSourceForever) {
   cfg.cut_probability = 1.0;
   cfg.seed = 7;
   RequestCutterAdversary adversary(cfg);
-  const RunResult r = run_single_source(n, k, 0, adversary, /*max_rounds=*/600);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 600;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   // Every response edge is cut before delivery: no node ever completes...
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.metrics.learnings, 0u);
@@ -68,7 +72,11 @@ TEST(RequestCutter, PartialCuttingEventuallyCompletes) {
   cfg.cut_probability = 0.5;
   cfg.seed = 8;
   RequestCutterAdversary adversary(cfg);
-  const RunResult r = run_single_source(n, k, 0, adversary, /*max_rounds=*/20'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 20'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.metrics.learnings, static_cast<std::uint64_t>(n - 1) * k);
   EXPECT_LE(r.metrics.competitive_residual(1.0),
@@ -82,7 +90,11 @@ TEST(RequestCutter, ZeroProbabilityIsBenignChurn) {
   cfg.cut_probability = 0.0;
   cfg.seed = 9;
   RequestCutterAdversary adversary(cfg);
-  const RunResult r = run_single_source(10, 4, 0, adversary, 2'000);
+  AlgoBuildContext ctx;
+  ctx.n = 10;
+  ctx.k = 4;
+  ctx.cap = 2'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(adversary.cuts(), 0u);
 }

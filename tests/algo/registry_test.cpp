@@ -12,9 +12,14 @@
 
 #include "adversary/registry.hpp"
 #include "adversary/static_adversary.hpp"
+#include "core/flooding.hpp"
+#include "core/multi_source.hpp"
 #include "core/neighbor_exchange.hpp"
+#include "core/random_flooding.hpp"
 #include "core/single_source.hpp"
+#include "core/spanning_tree.hpp"
 #include "core/tokens.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/simulator.hpp"
@@ -151,7 +156,10 @@ TEST(AlgoRegistry, RejectsBadValuesAndContexts) {
 
 TEST(AlgoFamilies, SingleSourceMatchesHandBuiltRun) {
   auto hand_adv = churn_adversary();
-  const RunResult hand = run_single_source(kN, kK, 0, *hand_adv, kCap);
+  const SingleSourceConfig cfg{kN, kK, 0};
+  UnicastEngine engine(SingleSourceNode::make_all(cfg), *hand_adv,
+                       SingleSourceNode::initial_knowledge(cfg), kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
   auto reg_adv = churn_adversary();
   EXPECT_EQ(registry_checksum("single_source", *reg_adv),
             run_payload_checksum(kN, kK, hand));
@@ -160,7 +168,9 @@ TEST(AlgoFamilies, SingleSourceMatchesHandBuiltRun) {
 TEST(AlgoFamilies, MultiSourceMatchesHandBuiltRun) {
   auto hand_adv = churn_adversary();
   const TokenSpacePtr space = spread(4);
-  const RunResult hand = run_multi_source(kN, space, *hand_adv, kCap);
+  UnicastEngine engine(MultiSourceNode::make_all({kN, space}), *hand_adv,
+                       space->initial_knowledge(kN), space->total_tokens());
+  const RunResult hand = to_run_result(engine.run(kCap));
   auto reg_adv = churn_adversary();
   std::uint64_t k_realized = 0;
   EXPECT_EQ(registry_checksum("multi_source", *reg_adv, &k_realized),
@@ -170,19 +180,20 @@ TEST(AlgoFamilies, MultiSourceMatchesHandBuiltRun) {
 
 TEST(AlgoFamilies, FloodingMatchesHandBuiltRun) {
   auto hand_adv = churn_adversary();
-  const TokenSpace space = TokenSpace::single_source(0, kK);
-  const RunResult hand =
-      run_phase_flooding(kN, kK, space.initial_knowledge(kN), *hand_adv, kCap);
+  const auto init = TokenSpace::single_source(0, kK).initial_knowledge(kN);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(kN, kK, init), *hand_adv, init, kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
   auto reg_adv = churn_adversary();
   EXPECT_EQ(registry_checksum("flooding", *reg_adv),
             run_payload_checksum(kN, kK, hand));
 }
 
 TEST(AlgoFamilies, RandomFloodingMatchesHandBuiltRunAndPinsSeed) {
-  const TokenSpace space = TokenSpace::single_source(0, kK);
+  const auto init = TokenSpace::single_source(0, kK).initial_knowledge(kN);
   auto hand_adv = churn_adversary();
-  const RunResult hand = run_random_flooding(
-      kN, kK, space.initial_knowledge(kN), *hand_adv, kCap, /*seed=*/5);
+  BroadcastEngine engine(RandomFloodingNode::make_all(kN, kK, init, /*seed=*/5),
+                         *hand_adv, init, kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
   // seed=5 in the spec wins over the context's kSeed — the hand run above
   // used 5, so only the pinned spec matches it.
   auto reg_adv = churn_adversary();
@@ -197,13 +208,10 @@ TEST(AlgoFamilies, RandomFloodingMatchesHandBuiltRunAndPinsSeed) {
 
 TEST(AlgoFamilies, NeighborExchangeMatchesHandBuiltRun) {
   auto hand_adv = churn_adversary();
-  const TokenSpace space = TokenSpace::single_source(0, kK);
-  const RunMetrics m = run_neighbor_exchange(
-      kN, kK, space.initial_knowledge(kN), *hand_adv, kCap);
-  RunResult hand;
-  hand.metrics = m;
-  hand.rounds = m.rounds;
-  hand.completed = m.completed;
+  const auto init = TokenSpace::single_source(0, kK).initial_knowledge(kN);
+  UnicastEngine engine(NeighborExchangeNode::make_all(kN, kK, init), *hand_adv,
+                       init, kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
   auto reg_adv = churn_adversary();
   EXPECT_EQ(registry_checksum("neighbor_exchange", *reg_adv),
             run_payload_checksum(kN, kK, hand));
@@ -227,10 +235,11 @@ TEST(AlgoFamilies, ObliviousMatchesHandBuiltRun) {
 }
 
 TEST(AlgoFamilies, SpanningTreeMatchesHandBuiltRunOnAStaticGraph) {
-  const TokenSpace hand_space = TokenSpace::single_source(0, kK);
+  const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, kK));
   StaticAdversary hand_adv(complete_graph(kN));
-  const RunResult hand = run_spanning_tree(
-      kN, std::make_shared<TokenSpace>(hand_space), hand_adv, kCap, 0);
+  UnicastEngine engine(SpanningTreeNode::make_all({kN, space, 0}), hand_adv,
+                       space->initial_knowledge(kN), kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
   StaticAdversary reg_adv(complete_graph(kN));
   EXPECT_EQ(registry_checksum("spanning_tree", reg_adv),
             run_payload_checksum(kN, kK, hand));
@@ -249,11 +258,7 @@ TEST(AlgoFamilies, PriorityKnobPinsTheAblationVariant) {
   SingleSourceConfig cfg{kN, kK, 0, RequestPriority::kReversed};
   UnicastEngine engine(SingleSourceNode::make_all(cfg), *hand_adv,
                        SingleSourceNode::initial_knowledge(cfg), kK);
-  const RunMetrics m = engine.run(kCap);
-  RunResult hand;
-  hand.metrics = m;
-  hand.rounds = m.rounds;
-  hand.completed = m.completed;
+  const RunResult hand = to_run_result(engine.run(kCap));
 
   auto reg_adv = cutter();
   const std::uint64_t reversed =
@@ -270,7 +275,8 @@ TEST(AlgoFamilies, InitialKnowledgeOverrideIsHonoredWhereItMakesSense) {
   std::vector<KnowledgeSet> init(kN, KnowledgeSet(kK));
   for (std::size_t t = 0; t < kK; ++t) init[t % kN].set(t);
   auto hand_adv = churn_adversary();
-  const RunResult hand = run_phase_flooding(kN, kK, init, *hand_adv, kCap);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(kN, kK, init), *hand_adv, init, kK);
+  const RunResult hand = to_run_result(engine.run(kCap));
 
   AlgoBuildContext ctx;
   ctx.n = kN;

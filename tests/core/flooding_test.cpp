@@ -6,8 +6,8 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/static_adversary.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "graph/generators.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -41,13 +41,14 @@ TEST(PhaseFlooding, CompletesWithinNkRoundsOnStaticPath) {
   constexpr std::size_t n = 8, k = 5;
   StaticAdversary adversary(path_graph(n));
   const auto init = one_per_token(n, k, 3);
-  const RunResult r = run_phase_flooding(n, k, init, adversary, 10 * n * k);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics r = engine.run(10 * n * k);
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.rounds, n * k);
   // Learnings: everything not initially held must be learned.
-  EXPECT_EQ(r.metrics.learnings, static_cast<std::uint64_t>(n) * k - k);
+  EXPECT_EQ(r.learnings, static_cast<std::uint64_t>(n) * k - k);
   // Broadcast accounting: at most n broadcasts per round.
-  EXPECT_LE(r.metrics.broadcasts, static_cast<std::uint64_t>(r.rounds) * n);
+  EXPECT_LE(r.broadcasts, static_cast<std::uint64_t>(r.rounds) * n);
 }
 
 TEST(PhaseFlooding, CompletesOnChurn) {
@@ -59,7 +60,8 @@ TEST(PhaseFlooding, CompletesOnChurn) {
   cc.seed = 5;
   ChurnAdversary adversary(cc);
   const auto init = one_per_token(n, k, 6);
-  const RunResult r = run_phase_flooding(n, k, init, adversary, 10 * n * k);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics r = engine.run(10 * n * k);
   EXPECT_TRUE(r.completed);
   EXPECT_LE(r.rounds, n * k);  // the guarantee holds against ANY adversary
 }
@@ -68,7 +70,8 @@ TEST(PhaseFlooding, AmortizedBroadcastsAtMostQuadratic) {
   constexpr std::size_t n = 16, k = 16;
   StaticAdversary adversary(star_graph(n));
   const auto init = one_per_token(n, k, 7);
-  const RunResult r = run_phase_flooding(n, k, init, adversary, 10 * n * k);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics r = engine.run(10 * n * k);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.amortized(k), static_cast<double>(n) * n);
 }
@@ -78,8 +81,9 @@ TEST(RandomFlooding, CompletesOnStaticAndChurn) {
   const auto init = one_per_token(n, k, 8);
   {
     StaticAdversary adversary(cycle_graph(n));
-    const RunResult r =
-        run_random_flooding(n, k, init, adversary, 100 * n * k, /*seed=*/1);
+    BroadcastEngine engine(RandomFloodingNode::make_all(n, k, init, /*seed=*/1),
+                           adversary, init, k);
+    const RunMetrics r = engine.run(100 * n * k);
     EXPECT_TRUE(r.completed);
   }
   {
@@ -89,8 +93,9 @@ TEST(RandomFlooding, CompletesOnStaticAndChurn) {
     cc.churn_per_round = 3;
     cc.seed = 9;
     ChurnAdversary adversary(cc);
-    const RunResult r =
-        run_random_flooding(n, k, init, adversary, 100 * n * k, /*seed=*/2);
+    BroadcastEngine engine(RandomFloodingNode::make_all(n, k, init, /*seed=*/2),
+                           adversary, init, k);
+    const RunMetrics r = engine.run(100 * n * k);
     EXPECT_TRUE(r.completed);
   }
 }

@@ -13,8 +13,8 @@
 // around the 64-bit word boundaries, n-gossip, k > n, sources that
 // complete out of index order, phase-2 style initial knowledge
 // (make_all_with), and the drop/crash/dup/amnesia fault plane.  Literal
-// pins of run_multi_source and run_oblivious_multi_source guard the
-// payloads against both implementations drifting together.
+// pins of Multi-Source-Unicast runs and run_oblivious_multi_source guard
+// the payloads against both implementations drifting together.
 #include <algorithm>
 #include <cstdint>
 #include <memory>
@@ -418,7 +418,7 @@ TEST(MultiSourceDiff, OutboxesAndMetricsMatchReference) {
   }
 }
 
-// Literal pins: the metrics and payload checksums of run_multi_source and
+// Literal pins: the metrics and payload checksums of Multi-Source-Unicast and
 // run_oblivious_multi_source on fixed seeds.  A change that moves any of
 // them changed the protocol's behaviour, not just its bookkeeping.
 struct Pin {
@@ -468,14 +468,13 @@ TEST(MultiSourceDiff, MultiSourcePayloadPinsMatchLiteralValues) {
         build_adversary(AdversarySpec::parse(pin.adversary), pin.n, pin.seed);
     const TokenSpacePtr space = spread(pin.n, pin.s, pin.per_source);
     FaultPlan plan(FaultSpec::parse(kPinFaults), pin.n, pin.seed);
-    RunOptions run;
-    if (pin.faults) run.faults = &plan;
-    const RunResult r = run_multi_source(pin.n, space, *adversary,
-                                         static_cast<Round>(200 * pin.n * pin.s),
-                                         run);
-    const RunMetrics& m = r.metrics;
+    UnicastEngineOptions opts;
+    if (pin.faults) opts.faults = &plan;
+    UnicastEngine engine(MultiSourceNode::make_all({pin.n, space}), *adversary,
+                         space->initial_knowledge(pin.n), space->total_tokens(), opts);
+    const RunMetrics m = engine.run(static_cast<Round>(200 * pin.n * pin.s));
     const std::uint64_t checksum =
-        run_payload_checksum(pin.n, space->total_tokens(), r);
+        run_payload_checksum(pin.n, space->total_tokens(), to_run_result(m));
     SCOPED_TRACE(describe(m, checksum));
     EXPECT_EQ(m.unicast.token, pin.tokens);
     EXPECT_EQ(m.unicast.completeness, pin.completeness);

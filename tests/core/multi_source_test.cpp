@@ -5,9 +5,10 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/static_adversary.hpp"
+#include "algo/registry.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -24,12 +25,14 @@ TEST(MultiSource, CompletesOnStaticCycle) {
   constexpr std::size_t n = 10;
   const auto space = spread_sources(n, 3, 4);
   StaticAdversary adversary(cycle_graph(n));
-  const RunResult r = run_multi_source(n, space, adversary, 100'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(100'000);
   EXPECT_TRUE(r.completed);
   const std::uint64_t k = space->total_tokens();
-  EXPECT_EQ(r.metrics.learnings, (n - 1) * k);  // each source holds its own
-  EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
-  EXPECT_EQ(r.metrics.unicast.token, (n - 1) * k);
+  EXPECT_EQ(r.learnings, (n - 1) * k);  // each source holds its own
+  EXPECT_EQ(r.duplicate_token_deliveries, 0u);
+  EXPECT_EQ(r.unicast.token, (n - 1) * k);
 }
 
 TEST(MultiSource, SingleSourceSpecialCaseMatchesAlgorithm1Costs) {
@@ -45,16 +48,22 @@ TEST(MultiSource, SingleSourceSpecialCaseMatchesAlgorithm1Costs) {
   cc.seed = 21;
 
   ChurnAdversary a1(cc);
-  const RunResult single = run_single_source(n, k, 0, a1, 100'000);
+  AlgoBuildContext single_ctx;
+  single_ctx.n = n;
+  single_ctx.k = k;
+  single_ctx.cap = 100'000;
+  const RunResult single = run_algo(AlgoSpec::parse("single_source"), single_ctx, a1);
   ChurnAdversary a2(cc);  // identical committed schedule
   const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
-  const RunResult multi = run_multi_source(n, space, a2, 100'000);
+  UnicastEngine multi_engine(MultiSourceNode::make_all({n, space}), a2,
+                             space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics multi = multi_engine.run(100'000);
 
   ASSERT_TRUE(single.completed);
   ASSERT_TRUE(multi.completed);
-  EXPECT_EQ(single.metrics.unicast.token, multi.metrics.unicast.token);
-  EXPECT_EQ(single.metrics.unicast.request, multi.metrics.unicast.request);
-  EXPECT_EQ(single.metrics.unicast.completeness, multi.metrics.unicast.completeness);
+  EXPECT_EQ(single.metrics.unicast.token, multi.unicast.token);
+  EXPECT_EQ(single.metrics.unicast.request, multi.unicast.request);
+  EXPECT_EQ(single.metrics.unicast.completeness, multi.unicast.completeness);
   EXPECT_EQ(single.rounds, multi.rounds);
 }
 
@@ -68,13 +77,14 @@ TEST(MultiSource, CompetitiveResidualWithinTheorem35) {
   cc.churn_per_round = 6;
   cc.seed = 23;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_multi_source(n, space, adversary, 200'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(200'000);
   ASSERT_TRUE(r.completed);
-  EXPECT_LE(r.metrics.competitive_residual(1.0),
+  EXPECT_LE(r.competitive_residual(1.0),
             4.0 * bounds::multi_source_messages(n, space->total_tokens(), s));
-  EXPECT_LE(r.metrics.unicast.request,
-            static_cast<std::uint64_t>(n) * space->total_tokens() +
-                r.metrics.deletions);
+  EXPECT_LE(r.unicast.request,
+            static_cast<std::uint64_t>(n) * space->total_tokens() + r.deletions);
 }
 
 TEST(MultiSource, RoundBoundOnThreeStableGraphs) {
@@ -88,7 +98,9 @@ TEST(MultiSource, RoundBoundOnThreeStableGraphs) {
   cc.sigma = 3;
   cc.seed = 25;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_multi_source(n, space, adversary, 200'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(200'000);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.rounds, 3ull * n * space->total_tokens());
 }
@@ -136,9 +148,11 @@ TEST(MultiSource, EveryNodeASource) {
   cc.sigma = 3;
   cc.seed = 27;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_multi_source(n, space, adversary, 200'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(200'000);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.metrics.learnings, (n - 1) * n);
+  EXPECT_EQ(r.learnings, (n - 1) * n);
 }
 
 TEST(MultiSource, AnnouncementThrottleOnePerEdgePerRound) {

@@ -7,6 +7,7 @@
 #include "adversary/churn.hpp"
 #include "adversary/patterns.hpp"
 #include "adversary/static_adversary.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 
 namespace dyngossip {
@@ -24,7 +25,8 @@ TEST(NeighborExchange, CompletesOnStaticGraphs) {
   constexpr std::size_t n = 10, k = 6;
   const auto init = one_per_token(n, k, 1);
   StaticAdversary adversary(cycle_graph(n));
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  UnicastEngine engine(NeighborExchangeNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics m = engine.run(100'000);
   EXPECT_TRUE(m.completed);
   EXPECT_EQ(m.learnings, static_cast<std::uint64_t>(n) * k - k);
 }
@@ -39,7 +41,8 @@ TEST(NeighborExchange, TotalBoundedByN2K) {
   cc.churn_per_round = 4;
   cc.seed = 3;
   ChurnAdversary adversary(cc);
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  UnicastEngine engine(NeighborExchangeNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics m = engine.run(100'000);
   ASSERT_TRUE(m.completed);
   EXPECT_LE(m.unicast.token, static_cast<std::uint64_t>(n) * n * k);
   // Push-only traffic: no requests, no announcements.
@@ -53,7 +56,8 @@ TEST(NeighborExchange, WastesDuplicateDeliveries) {
   constexpr std::size_t n = 10, k = 10;
   const auto init = one_per_token(n, k, 4);
   StaticAdversary adversary(complete_graph(n));
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  UnicastEngine engine(NeighborExchangeNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics m = engine.run(100'000);
   ASSERT_TRUE(m.completed);
   EXPECT_GT(m.duplicate_token_deliveries, 0u);
 }
@@ -76,7 +80,8 @@ TEST(NeighborExchange, HandlesRotatingStar) {
   constexpr std::size_t n = 14, k = 6;
   const auto init = one_per_token(n, k, 6);
   RotatingStarAdversary adversary(n, 7);
-  const RunMetrics m = run_neighbor_exchange(n, k, init, adversary, 100'000);
+  UnicastEngine engine(NeighborExchangeNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics m = engine.run(100'000);
   EXPECT_TRUE(m.completed);
 }
 

@@ -7,9 +7,10 @@
 #include "adversary/churn.hpp"
 #include "adversary/scripted.hpp"
 #include "adversary/static_adversary.hpp"
+#include "algo/registry.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/bounds.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -18,7 +19,11 @@ TEST(SingleSource, CompletesOnStaticPath) {
   constexpr std::size_t n = 6;
   constexpr std::uint32_t k = 4;
   StaticAdversary adversary(path_graph(n));
-  const RunResult r = run_single_source(n, k, 0, adversary, 10'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 10'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   // Exactly-once delivery: (n-1) * k tokens, no duplicates.
   EXPECT_EQ(r.metrics.unicast.token, static_cast<std::uint64_t>(n - 1) * k);
@@ -30,7 +35,11 @@ TEST(SingleSource, CompletesFromNonZeroSourceOnStar) {
   constexpr std::size_t n = 9;
   constexpr std::uint32_t k = 7;
   StaticAdversary adversary(star_graph(n, /*center=*/4));
-  const RunResult r = run_single_source(n, k, /*source=*/4, adversary, 10'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 10'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source:source=4"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   // Star from the center: every leaf learns directly, pipelined 1/round.
   EXPECT_EQ(r.metrics.unicast.token, static_cast<std::uint64_t>(n - 1) * k);
@@ -38,15 +47,22 @@ TEST(SingleSource, CompletesFromNonZeroSourceOnStar) {
 
 TEST(SingleSource, SingleNodeTrivially) {
   StaticAdversary adversary(Graph(1));
-  const RunResult r = run_single_source(1, 5, 0, adversary, 10);
+  const SingleSourceConfig cfg{1, 5, 0};
+  UnicastEngine engine(SingleSourceNode::make_all(cfg), adversary,
+                       SingleSourceNode::initial_knowledge(cfg), 5);
+  const RunMetrics r = engine.run(10);
   EXPECT_TRUE(r.completed);
-  EXPECT_EQ(r.metrics.unicast.total(), 0u);
+  EXPECT_EQ(r.unicast.total(), 0u);
   EXPECT_EQ(r.rounds, 0u);
 }
 
 TEST(SingleSource, OneTokenTwoNodes) {
   StaticAdversary adversary(path_graph(2));
-  const RunResult r = run_single_source(2, 1, 0, adversary, 100);
+  AlgoBuildContext ctx;
+  ctx.n = 2;
+  ctx.k = 1;
+  ctx.cap = 100;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.metrics.unicast.token, 1u);
   // announce (r1), request (r2), token (r3).
@@ -61,7 +77,11 @@ TEST(SingleSource, CompletenessAnnouncedOncePerPair) {
   constexpr std::size_t n = 8;
   constexpr std::uint32_t k = 3;
   StaticAdversary adversary(complete_graph(n));
-  const RunResult r = run_single_source(n, k, 0, adversary, 10'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 10'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.metrics.unicast.completeness, static_cast<std::uint64_t>(n) * (n - 1));
 }
@@ -77,7 +97,11 @@ TEST(SingleSource, RequestsBoundedByTheorem31) {
   cc.sigma = 1;  // harshest legal churn
   cc.seed = 11;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_single_source(n, k, 0, adversary, 100'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 100'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.metrics.unicast.request,
             static_cast<std::uint64_t>(n) * k + r.metrics.deletions);
@@ -94,7 +118,11 @@ TEST(SingleSource, CompetitiveResidualWithinBound) {
     cc.churn_per_round = 8;
     cc.seed = seed;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 100'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 100'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed);
     EXPECT_LE(r.metrics.competitive_residual(1.0),
               4.0 * bounds::single_source_messages(n, k))
@@ -113,7 +141,11 @@ TEST(SingleSource, RoundBoundOnThreeStableGraphs) {
   cc.sigma = 3;
   cc.seed = 13;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_single_source(n, k, 0, adversary, 100'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 100'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.rounds, 2 * n * k);
 }
@@ -134,7 +166,11 @@ TEST(SingleSource, RequestEdgeCutForcesRerequest) {
   script.push_back(detour);   // r3: {0,1} cut; the answer is lost
   for (int i = 0; i < 20; ++i) script.push_back(detour);
   ScriptedAdversary adversary(std::move(script));
-  const RunResult r = run_single_source(3, 1, 0, adversary, 100);
+  AlgoBuildContext ctx;
+  ctx.n = 3;
+  ctx.k = 1;
+  ctx.cap = 100;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   // One request was wasted: requests > tokens delivered... tokens = 2.
   EXPECT_EQ(r.metrics.unicast.token, 2u);

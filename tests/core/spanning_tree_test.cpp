@@ -5,8 +5,8 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/static_adversary.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -16,13 +16,15 @@ TEST(SpanningTree, SingleSourcePipelineExactTokenCount) {
   constexpr std::uint32_t k = 16;
   const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
   StaticAdversary adversary(complete_graph(n));
-  const RunResult r = run_spanning_tree(n, space, adversary, 10'000);
+  UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(10'000);
   ASSERT_TRUE(r.completed);
   // Each token crosses each of the n-1 tree edges exactly once.
-  EXPECT_EQ(r.metrics.unicast.token, static_cast<std::uint64_t>(n - 1) * k);
-  EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
+  EXPECT_EQ(r.unicast.token, static_cast<std::uint64_t>(n - 1) * k);
+  EXPECT_EQ(r.duplicate_token_deliveries, 0u);
   // Construction costs O(m): joins <= 2m, accepts <= n.
-  EXPECT_LE(r.metrics.unicast.control,
+  EXPECT_LE(r.unicast.control,
             2ull * complete_graph(n).num_edges() + n);
 }
 
@@ -32,12 +34,14 @@ TEST(SpanningTree, MultiSourceAlsoExactlyOnce) {
       TokenSpace::contiguous({{1, 5}, {6, 3}, {11, 7}}));
   Rng rng(5);
   StaticAdversary adversary(connected_erdos_renyi(n, 0.3, rng));
-  const RunResult r = run_spanning_tree(n, space, adversary, 10'000);
+  UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(10'000);
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.metrics.unicast.token,
+  EXPECT_EQ(r.unicast.token,
             static_cast<std::uint64_t>(n - 1) * space->total_tokens());
-  EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
-  EXPECT_EQ(r.metrics.learnings,
+  EXPECT_EQ(r.duplicate_token_deliveries, 0u);
+  EXPECT_EQ(r.learnings,
             static_cast<std::uint64_t>(n - 1) * space->total_tokens());
 }
 
@@ -48,7 +52,9 @@ TEST(SpanningTree, PipelineRoundsLinearInDepthPlusK) {
   constexpr std::uint32_t k = 32;
   const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
   StaticAdversary adversary(path_graph(n));
-  const RunResult r = run_spanning_tree(n, space, adversary, 10'000);
+  UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(10'000);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(r.rounds, n + n + k + 8u);
 }
@@ -83,7 +89,9 @@ TEST(SpanningTree, AmortizedCostDropsWithK) {
   for (std::uint32_t k : {1u, 8u, 64u}) {
     const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
     StaticAdversary adversary(complete_graph(n));
-    const RunResult r = run_spanning_tree(n, space, adversary, 100'000);
+    UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                         space->initial_knowledge(n), space->total_tokens());
+    const RunMetrics r = engine.run(100'000);
     ASSERT_TRUE(r.completed);
     const double amortized = r.amortized(k);
     EXPECT_LT(amortized, prev_amortized);
@@ -102,7 +110,9 @@ TEST(SpanningTreeDeath, DynamicTopologyRejected) {
   cc.churn_per_round = 4;  // guaranteed neighborhood changes
   cc.seed = 3;
   ChurnAdversary adversary(cc);
-  EXPECT_DEATH((void)run_spanning_tree(n, space, adversary, 1'000), "DG_CHECK");
+  UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  EXPECT_DEATH((void)engine.run(1'000), "DG_CHECK");
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // bit-for-bit, synthetic adversary overrides swap the schedule family
 // without touching the scenario's shape, and an --algo override runs a
 // different registered algorithm whose payload is bit-identical to the
-// hand-built run.
+// hand-built run.  multi_source's default grid runs as keyed trials: one
+// probe series per trial, and a warm cache serves every row.
 #include "scenarios/run_axes.hpp"
 
 #include <unistd.h>
@@ -12,16 +13,22 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "algo/registry.hpp"
+#include "cache/result_cache.hpp"
+#include "core/flooding.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "scenarios/scenarios.hpp"
+#include "sim/runner/emit.hpp"
 #include "sim/runner/scenario_cli.hpp"
 #include "sim/runner/scenario_registry.hpp"
-#include "sim/simulator.hpp"
+#include "telemetry/round_probe.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_adversary.hpp"
 #include "trace/trace_format.hpp"
@@ -222,9 +229,10 @@ TEST(AlgoAxis, SingleSourceWithFloodingMatchesTheHandBuiltFloodingRun) {
     const std::unique_ptr<Adversary> adversary = build_adversary(churn, n, seed);
     // The flooding family's canonical single-source task: all k tokens at
     // node 0.
-    const TokenSpace space = TokenSpace::single_source(0, k);
-    const RunResult hand = run_phase_flooding(n, k, space.initial_knowledge(n),
-                                              *adversary, cap);
+    const std::vector<KnowledgeSet> init =
+        TokenSpace::single_source(0, k).initial_knowledge(n);
+    BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), *adversary, init, k);
+    const RunResult hand = to_run_result(engine.run(cap));
     EXPECT_EQ(row[0], churn.to_string());
     EXPECT_EQ(row[1], "flooding");
     EXPECT_EQ(row.back(), checksum_hex(run_payload_checksum(n, k, hand)));
@@ -360,6 +368,67 @@ TEST(AlgoAxis, AlgoMatrixCrossesFamiliesOnASharedSchedule) {
 
 /// Runs `dyngossip run sync_vs_async --quick` with TMPDIR set to `tmpdir`;
 /// returns (exit code, stderr).
+// ---- multi_source as keyed trials ----------------------------------------
+
+/// multi_source --quick on a 2-worker pool with an optional cache and sink.
+ScenarioResult run_multi_source_quick(ResultCache* cache, ProbeSink* sink) {
+  ScenarioRegistry registry;
+  register_all_scenarios(registry);
+  ThreadPool pool(2);
+  ScenarioContext ctx(pool, 0, /*quick=*/true);
+  ctx.set_cache(cache);
+  ctx.set_probe_sink(sink);
+  return registry.find("multi_source")->run(ctx);
+}
+
+std::string rendered(const ScenarioResult& result) {
+  std::ostringstream os;
+  print_scenario_tables(result, os);
+  return os.str();
+}
+
+TEST(MultiSourceKeyed, ProbeSinkGetsOneSeriesPerTrialInInputOrder) {
+  ProbeSink sink(ProbeSpec{});
+  const ScenarioResult probed = run_multi_source_quick(nullptr, &sink);
+  std::ostringstream jsonl;
+  sink.write_to(jsonl);
+  std::vector<std::string> totals;
+  std::istringstream lines(jsonl.str());
+  for (std::string line; std::getline(lines, line);) {
+    if (line.find("\"type\":\"total\"") == std::string::npos) continue;
+    const std::size_t at = line.find("\"series\":\"") + 10;
+    totals.push_back(line.substr(at, line.find('"', at) - at));
+  }
+  // The message rows (s = 2, 8, 32), then the stable-churn rows
+  // (n = 16, 32), two trials each.
+  std::vector<std::string> expected;
+  for (const char* row : {"s=2", "s=8", "s=32", "stable n=16", "stable n=32"}) {
+    for (const char* trial : {" trial=0", " trial=1"}) {
+      expected.push_back(std::string("multi_source ") + row + trial);
+    }
+  }
+  EXPECT_EQ(totals, expected);
+  // Observers never touch the payload.
+  EXPECT_EQ(rendered(probed), rendered(run_multi_source_quick(nullptr, nullptr)));
+}
+
+TEST(MultiSourceKeyed, WarmCacheServesTheWholeGridWithTheSamePayload) {
+  const std::string dir = ::testing::TempDir() + "dg_multi_source_cache_" +
+                          std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  ResultCache cold_cache(dir);
+  const ScenarioResult cold = run_multi_source_quick(&cold_cache, nullptr);
+  EXPECT_EQ(cold_cache.stats().hits, 0u);
+  EXPECT_EQ(cold_cache.stats().misses, 10u);
+
+  ResultCache warm_cache(dir);
+  const ScenarioResult warm = run_multi_source_quick(&warm_cache, nullptr);
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(warm_cache.stats().hits, 0u);
+  EXPECT_EQ(warm_cache.stats().misses, 0u);
+  EXPECT_EQ(rendered(warm), rendered(cold));
+}
+
 std::pair<int, std::string> run_sync_vs_async_with_tmpdir(const std::string& tmpdir) {
   const char* old = std::getenv("TMPDIR");
   const std::string saved = old != nullptr ? old : "";

@@ -6,6 +6,9 @@
 #include "adversary/churn.hpp"
 #include "adversary/lb_adversary.hpp"
 #include "adversary/patterns.hpp"
+#include "algo/registry.hpp"
+#include "core/random_flooding.hpp"
+#include "engine/broadcast_engine.hpp"
 #include "sim/simulator.hpp"
 
 namespace dyngossip {
@@ -28,7 +31,11 @@ TEST(Determinism, SingleSourceRunsAreReproducible) {
     cc.churn_per_round = 4;
     cc.seed = 7;
     ChurnAdversary adversary(cc);
-    return run_single_source(20, 15, 0, adversary, 100'000);
+    AlgoBuildContext ctx;
+    ctx.n = 20;
+    ctx.k = 15;
+    ctx.cap = 100'000;
+    return run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   };
   const RunResult a = run();
   const RunResult b = run();
@@ -43,7 +50,11 @@ TEST(Determinism, DifferentAdversarySeedsDiffer) {
     cc.churn_per_round = 4;
     cc.seed = seed;
     ChurnAdversary adversary(cc);
-    return run_single_source(20, 15, 0, adversary, 100'000);
+    AlgoBuildContext ctx;
+    ctx.n = 20;
+    ctx.k = 15;
+    ctx.cap = 100'000;
+    return run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   };
   const RunResult a = run(1);
   const RunResult b = run(2);
@@ -81,7 +92,9 @@ TEST(Determinism, RandomizedFloodingReproducibleUnderSeed) {
     RotatingStarAdversary adversary(16, 5);
     std::vector<KnowledgeSet> init(16, KnowledgeSet(8));
     for (std::size_t t = 0; t < 8; ++t) init[t].set(t);
-    return run_random_flooding(16, 8, init, adversary, 100'000, alg_seed);
+    BroadcastEngine engine(RandomFloodingNode::make_all(16, 8, init, alg_seed),
+                           adversary, init, 8);
+    return to_run_result(engine.run(100'000));
   };
   EXPECT_TRUE(same_metrics(run(9).metrics, run(9).metrics));
   EXPECT_FALSE(same_metrics(run(9).metrics, run(10).metrics));
@@ -98,14 +111,18 @@ TEST(Regression, PinnedSingleSourceTrace) {
   cc.sigma = 3;
   cc.seed = 12345;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_single_source(16, 8, 0, adversary, 100'000);
+  AlgoBuildContext ctx;
+  ctx.n = 16;
+  ctx.k = 8;
+  ctx.cap = 100'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   ASSERT_TRUE(r.completed);
   EXPECT_EQ(r.metrics.unicast.token, 120u);  // (n-1)*k exactly
   EXPECT_EQ(r.metrics.learnings, 120u);
   EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
   // The full deterministic trace must be stable across repeated runs.
   ChurnAdversary adversary2(cc);
-  const RunResult again = run_single_source(16, 8, 0, adversary2, 100'000);
+  const RunResult again = run_algo(AlgoSpec::parse("single_source"), ctx, adversary2);
   EXPECT_TRUE(same_metrics(r.metrics, again.metrics));
 }
 

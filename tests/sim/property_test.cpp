@@ -5,6 +5,9 @@
 #include "adversary/churn.hpp"
 #include "adversary/request_cutter.hpp"
 #include "adversary/static_adversary.hpp"
+#include "algo/registry.hpp"
+#include "core/multi_source.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/bounds.hpp"
 #include "sim/simulator.hpp"
@@ -33,7 +36,11 @@ TEST_P(SingleSourceProperties, InvariantsUnderChurn) {
   cc.sigma = 1;
   cc.seed = seed;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = 500'000;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
 
   ASSERT_TRUE(r.completed);
   // Definition 1.4's conservation: exactly k(n-1) learnings.
@@ -82,18 +89,20 @@ TEST_P(MultiSourceProperties, InvariantsUnderChurn) {
   cc.sigma = 1;
   cc.seed = seed * 101;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_multi_source(n, space, adversary, 500'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(500'000);
 
   ASSERT_TRUE(r.completed);
-  EXPECT_EQ(r.metrics.learnings, (n - 1) * k);
-  EXPECT_EQ(r.metrics.unicast.token, (n - 1) * k);
-  EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
+  EXPECT_EQ(r.learnings, (n - 1) * k);
+  EXPECT_EQ(r.unicast.token, (n - 1) * k);
+  EXPECT_EQ(r.duplicate_token_deliveries, 0u);
   // Type 2: once per (node, source, neighbor) triple.
-  EXPECT_LE(r.metrics.unicast.completeness,
+  EXPECT_LE(r.unicast.completeness,
             static_cast<std::uint64_t>(n) * (n - 1) * s);
-  EXPECT_LE(r.metrics.unicast.request,
-            static_cast<std::uint64_t>(n) * k + r.metrics.deletions);
-  EXPECT_LE(r.metrics.competitive_residual(1.0),
+  EXPECT_LE(r.unicast.request,
+            static_cast<std::uint64_t>(n) * k + r.deletions);
+  EXPECT_LE(r.competitive_residual(1.0),
             4.0 * bounds::multi_source_messages(n, k, s));
 }
 
@@ -153,7 +162,11 @@ TEST_P(AdversaryGauntlet, SingleSourceSurvivesEveryAdversary) {
 
   {
     StaticAdversary adversary(path_graph(n));  // worst diameter
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.metrics.learnings, exact_learnings);
   }
@@ -164,7 +177,11 @@ TEST_P(AdversaryGauntlet, SingleSourceSurvivesEveryAdversary) {
     cc.churn_per_round = n / 2;  // violent churn
     cc.seed = seed;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed);
     EXPECT_EQ(r.metrics.learnings, exact_learnings);
   }
@@ -175,7 +192,11 @@ TEST_P(AdversaryGauntlet, SingleSourceSurvivesEveryAdversary) {
     cc.fresh_graph_each_round = true;  // maximum-TC regime
     cc.seed = seed + 1;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed);
     EXPECT_LE(r.metrics.competitive_residual(1.0),
               4.0 * bounds::single_source_messages(n, k));
@@ -187,7 +208,11 @@ TEST_P(AdversaryGauntlet, SingleSourceSurvivesEveryAdversary) {
     rc.cut_probability = 0.7;
     rc.seed = seed + 2;
     RequestCutterAdversary adversary(rc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed);
     EXPECT_LE(r.metrics.competitive_residual(1.0),
               4.0 * bounds::single_source_messages(n, k));

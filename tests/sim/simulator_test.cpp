@@ -1,10 +1,19 @@
-// End-to-end smoke tests for every top-level simulator entry point.
+// End-to-end smoke tests: every algorithm runs to completion, through
+// run_algo where a spec names the task and from its node factory where the
+// test hand-makes the tokens, plus Algorithm 2's two-phase driver.
 #include "sim/simulator.hpp"
 
 #include <gtest/gtest.h>
 
 #include "adversary/churn.hpp"
 #include "adversary/static_adversary.hpp"
+#include "algo/registry.hpp"
+#include "core/flooding.hpp"
+#include "core/multi_source.hpp"
+#include "core/random_flooding.hpp"
+#include "core/spanning_tree.hpp"
+#include "engine/broadcast_engine.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 
 namespace dyngossip {
@@ -18,7 +27,12 @@ TEST(Simulator, SingleSourceSmoke) {
   cc.sigma = 3;
   cc.seed = 1;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_single_source(10, 6, 3, adversary, 50'000);
+  AlgoBuildContext ctx;
+  ctx.n = 10;
+  ctx.k = 6;
+  ctx.cap = 50'000;
+  const RunResult r =
+      run_algo(AlgoSpec::parse("single_source:source=3"), ctx, adversary);
   EXPECT_TRUE(r.completed);
   EXPECT_EQ(r.rounds, r.metrics.rounds);
 }
@@ -27,14 +41,18 @@ TEST(Simulator, MultiSourceSmoke) {
   const auto space = std::make_shared<TokenSpace>(
       TokenSpace::contiguous({{0, 3}, {5, 3}}));
   StaticAdversary adversary(cycle_graph(8));
-  const RunResult r = run_multi_source(8, space, adversary, 50'000);
+  UnicastEngine engine(MultiSourceNode::make_all({8, space}), adversary,
+                       space->initial_knowledge(8), space->total_tokens());
+  const RunMetrics r = engine.run(50'000);
   EXPECT_TRUE(r.completed);
 }
 
 TEST(Simulator, SpanningTreeSmoke) {
   const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, 4));
   StaticAdversary adversary(complete_graph(6));
-  const RunResult r = run_spanning_tree(6, space, adversary, 10'000);
+  UnicastEngine engine(SpanningTreeNode::make_all({6, space}), adversary,
+                       space->initial_knowledge(6), space->total_tokens());
+  const RunMetrics r = engine.run(10'000);
   EXPECT_TRUE(r.completed);
 }
 
@@ -44,9 +62,13 @@ TEST(Simulator, FloodingSmoke) {
   init[0].set(0);
   init[2].set(1);
   init[5].set(2);
-  const RunResult phase = run_phase_flooding(6, 3, init, adversary, 1'000);
+  BroadcastEngine phase_engine(PhaseFloodingNode::make_all(6, 3, init), adversary,
+                               init, 3);
+  const RunMetrics phase = phase_engine.run(1'000);
   EXPECT_TRUE(phase.completed);
-  const RunResult rnd = run_random_flooding(6, 3, init, adversary, 10'000, 7);
+  BroadcastEngine rnd_engine(RandomFloodingNode::make_all(6, 3, init, /*seed=*/7),
+                             adversary, init, 3);
+  const RunMetrics rnd = rnd_engine.run(10'000);
   EXPECT_TRUE(rnd.completed);
 }
 
@@ -71,7 +93,11 @@ TEST(Simulator, ObliviousSmoke) {
 
 TEST(Simulator, IncompleteRunReportsHonestly) {
   StaticAdversary adversary(path_graph(30));
-  const RunResult r = run_single_source(30, 50, 0, adversary, /*max_rounds=*/5);
+  AlgoBuildContext ctx;
+  ctx.n = 30;
+  ctx.k = 50;
+  ctx.cap = 5;
+  const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
   EXPECT_FALSE(r.completed);
   EXPECT_EQ(r.rounds, 5u);
 }

@@ -7,8 +7,10 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/patterns.hpp"
+#include "algo/registry.hpp"
+#include "core/multi_source.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/stability.hpp"
-#include "sim/simulator.hpp"
 
 namespace dyngossip {
 namespace {
@@ -28,8 +30,13 @@ TEST_P(RandomConfigStress, SingleSourceInvariantHolds) {
     cc.sigma = static_cast<Round>(1 + rng.next_below(4));
     cc.seed = rng.next();
     ChurnAdversary adversary(cc);
-    const RunResult r =
-        run_single_source(n, k, source, adversary, static_cast<Round>(500u * n * k));
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = static_cast<Round>(500u * n * k);
+    const AlgoSpec algo =
+        AlgoSpec{"single_source", {}}.set("source", std::uint64_t{source});
+    const RunResult r = run_algo(algo, ctx, adversary);
     ASSERT_TRUE(r.completed) << "n=" << n << " k=" << k;
     EXPECT_EQ(r.metrics.learnings, static_cast<std::uint64_t>(n - 1) * k);
     EXPECT_EQ(r.metrics.unicast.token, static_cast<std::uint64_t>(n - 1) * k);
@@ -62,12 +69,13 @@ TEST_P(RandomConfigStress, MultiSourceInvariantHolds) {
     cc.sigma = static_cast<Round>(1 + rng.next_below(4));
     cc.seed = rng.next();
     ChurnAdversary adversary(cc);
-    const RunResult r =
-        run_multi_source(n, space, adversary, static_cast<Round>(1000u * n * k));
+    UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                         space->initial_knowledge(n), space->total_tokens());
+    const RunMetrics r = engine.run(static_cast<Round>(1000u * n * k));
     ASSERT_TRUE(r.completed) << "n=" << n << " s=" << s << " k=" << k;
-    EXPECT_EQ(r.metrics.learnings, (n - 1) * k);
-    EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
-    EXPECT_LE(r.metrics.unicast.completeness,
+    EXPECT_EQ(r.learnings, (n - 1) * k);
+    EXPECT_EQ(r.duplicate_token_deliveries, 0u);
+    EXPECT_LE(r.unicast.completeness,
               static_cast<std::uint64_t>(n) * (n - 1) * s);
   }
 }
@@ -79,15 +87,21 @@ TEST_P(RandomConfigStress, PatternAdversariesNeverBreakTheEngine) {
     const auto k = static_cast<std::uint32_t>(1 + rng.next_below(12));
     {
       RotatingStarAdversary adversary(n, rng.next());
-      const RunResult r =
-          run_single_source(n, k, 0, adversary, static_cast<Round>(500u * n * k));
+      AlgoBuildContext ctx;
+      ctx.n = n;
+      ctx.k = k;
+      ctx.cap = static_cast<Round>(500u * n * k);
+      const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
       ASSERT_TRUE(r.completed);
       EXPECT_EQ(r.metrics.learnings, static_cast<std::uint64_t>(n - 1) * k);
     }
     {
       PathShuffleAdversary adversary(n, rng.next());
-      const RunResult r =
-          run_single_source(n, k, 0, adversary, static_cast<Round>(2000u * n * k));
+      AlgoBuildContext ctx;
+      ctx.n = n;
+      ctx.k = k;
+      ctx.cap = static_cast<Round>(2000u * n * k);
+      const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
       ASSERT_TRUE(r.completed);
       EXPECT_EQ(r.metrics.duplicate_token_deliveries, 0u);
     }

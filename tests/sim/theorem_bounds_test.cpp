@@ -7,9 +7,14 @@
 #include "adversary/churn.hpp"
 #include "adversary/lb_adversary.hpp"
 #include "adversary/static_adversary.hpp"
+#include "algo/registry.hpp"
 #include "common/mathx.hpp"
 #include "core/flooding.hpp"
+#include "core/multi_source.hpp"
+#include "core/random_flooding.hpp"
+#include "core/spanning_tree.hpp"
 #include "engine/broadcast_engine.hpp"
+#include "engine/unicast_engine.hpp"
 #include "graph/generators.hpp"
 #include "sim/bounds.hpp"
 #include "sim/simulator.hpp"
@@ -36,7 +41,8 @@ TEST(Theorem23, LbAdversaryForcesSuperLogSquaredCost) {
   cfg.k = k;
   cfg.seed = 6;
   LowerBoundAdversary adversary(cfg, init);
-  const RunResult r = run_phase_flooding(n, k, init, adversary, 100 * n * k);
+  BroadcastEngine engine(PhaseFloodingNode::make_all(n, k, init), adversary, init, k);
+  const RunMetrics r = engine.run(100 * n * k);
   ASSERT_TRUE(r.completed);
   const double amortized = r.amortized(k);
   // At least the lower bound...
@@ -60,9 +66,10 @@ TEST(Theorem23, AlgorithmIndependenceOfTheThrottle) {
   cfg.seed = 8;
   LowerBoundAdversary adversary(cfg, init);
   const auto horizon = static_cast<Round>(4 * n * k);
-  const RunResult r = run_random_flooding(n, k, init, adversary, horizon, 9);
+  BroadcastEngine engine(RandomFloodingNode::make_all(n, k, init, 9), adversary, init, k);
+  const RunMetrics r = engine.run(horizon);
   const double per_round =
-      static_cast<double>(r.metrics.learnings) / static_cast<double>(r.rounds);
+      static_cast<double>(r.learnings) / static_cast<double>(r.rounds);
   EXPECT_LE(per_round, 4.0 * log2_clamped(static_cast<double>(n)));
   if (r.completed) {
     EXPECT_GE(r.amortized(k), bounds::broadcast_lb_amortized(n));
@@ -94,9 +101,10 @@ TEST(Theorem23, LbThrottlesTheLearningRate) {
   cfg.k = k;
   cfg.seed = 11;
   LowerBoundAdversary nasty(cfg, init);
-  const RunResult costly = run_phase_flooding(n, k, init, nasty, 100 * n * k);
+  BroadcastEngine costly_engine(PhaseFloodingNode::make_all(n, k, init), nasty, init, k);
+  const RunMetrics costly = costly_engine.run(100 * n * k);
   ASSERT_TRUE(costly.completed);
-  const double rate = static_cast<double>(costly.metrics.learnings) /
+  const double rate = static_cast<double>(costly.learnings) /
                       static_cast<double>(costly.rounds);
   EXPECT_LE(rate, 4.0 * log2_clamped(static_cast<double>(n)));
   // And the run is correspondingly long: at least nk / O(log n) rounds.
@@ -116,7 +124,11 @@ TEST(Theorem31, ResidualScalesWithBoundAcrossSizes) {
     cc.churn_per_round = n / 6;
     cc.seed = 100 + n;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed) << n;
     EXPECT_LE(r.metrics.competitive_residual(1.0),
               4.0 * bounds::single_source_messages(n, k))
@@ -134,7 +146,11 @@ TEST(Theorem34, RoundsLinearInNkOnStableGraphs) {
     cc.sigma = 3;
     cc.seed = 200 + n;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_single_source(n, k, 0, adversary, 500'000);
+    AlgoBuildContext ctx;
+    ctx.n = n;
+    ctx.k = k;
+    ctx.cap = 500'000;
+    const RunResult r = run_algo(AlgoSpec::parse("single_source"), ctx, adversary);
     ASSERT_TRUE(r.completed) << n;
     EXPECT_LE(static_cast<double>(r.rounds), 2.0 * bounds::stable_round_bound(n, k))
         << n;
@@ -157,9 +173,11 @@ TEST(Theorem35, ResidualWithinMultiSourceBound) {
     cc.churn_per_round = 4;
     cc.seed = 300 + s;
     ChurnAdversary adversary(cc);
-    const RunResult r = run_multi_source(n, space, adversary, 500'000);
+    UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                         space->initial_knowledge(n), space->total_tokens());
+    const RunMetrics r = engine.run(500'000);
     ASSERT_TRUE(r.completed) << s;
-    EXPECT_LE(r.metrics.competitive_residual(1.0),
+    EXPECT_LE(r.competitive_residual(1.0),
               4.0 * bounds::multi_source_messages(n, space->total_tokens(), s))
         << s;
   }
@@ -176,7 +194,9 @@ TEST(Theorem36, MultiSourceRoundsLinearInNk) {
   cc.sigma = 3;
   cc.seed = 400;
   ChurnAdversary adversary(cc);
-  const RunResult r = run_multi_source(n, space, adversary, 500'000);
+  UnicastEngine engine(MultiSourceNode::make_all({n, space}), adversary,
+                       space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics r = engine.run(500'000);
   ASSERT_TRUE(r.completed);
   EXPECT_LE(static_cast<double>(r.rounds),
             3.0 * bounds::stable_round_bound(n, space->total_tokens()));
@@ -200,7 +220,9 @@ TEST(Theorem38, CenterFunnelBeatsDirectMultiSourceOnNGossip) {
   cc.seed = 500;
 
   ChurnAdversary direct_adv(cc);
-  const RunResult direct = run_multi_source(n, space, direct_adv, 1'000'000);
+  UnicastEngine direct_engine(MultiSourceNode::make_all({n, space}), direct_adv,
+                              space->initial_knowledge(n), space->total_tokens());
+  const RunMetrics direct = direct_engine.run(1'000'000);
   ASSERT_TRUE(direct.completed);
 
   ChurnAdversary funnel_adv(cc);  // identical committed schedule
@@ -212,7 +234,7 @@ TEST(Theorem38, CenterFunnelBeatsDirectMultiSourceOnNGossip) {
       run_oblivious_multi_source(n, space, funnel_adv, opts);
   ASSERT_TRUE(funnel.completed);
 
-  EXPECT_LT(funnel.total.unicast.total(), direct.metrics.unicast.total());
+  EXPECT_LT(funnel.total.unicast.total(), direct.unicast.total());
 }
 
 // --- Section 1: the static baseline ---------------------------------------
@@ -222,7 +244,9 @@ TEST(StaticBaseline, AmortizedMatchesN2OverKPlusN) {
   for (const std::uint32_t k : {4u, 16u, 64u, 256u}) {
     const auto space = std::make_shared<TokenSpace>(TokenSpace::single_source(0, k));
     StaticAdversary adversary(complete_graph(n));
-    const RunResult r = run_spanning_tree(n, space, adversary, 1'000'000);
+    UnicastEngine engine(SpanningTreeNode::make_all({n, space}), adversary,
+                         space->initial_knowledge(n), space->total_tokens());
+    const RunMetrics r = engine.run(1'000'000);
     ASSERT_TRUE(r.completed) << k;
     EXPECT_LE(r.amortized(k), 3.0 * bounds::static_amortized(n, k)) << k;
   }

@@ -8,8 +8,8 @@
 
 #include "adversary/churn.hpp"
 #include "adversary/sigma_stable.hpp"
+#include "algo/registry.hpp"
 #include "core/tokens.hpp"
-#include "sim/simulator.hpp"
 #include "trace/run_payload.hpp"
 #include "trace/trace_gen.hpp"
 
@@ -44,16 +44,20 @@ void expect_metrics_equal(const RunResult& a, const RunResult& b) {
 TEST(TraceAdversary, RecordingDoesNotPerturbTheRun) {
   const std::size_t n = 24;
   const std::uint32_t k = 48;
-  const Round cap = static_cast<Round>(100 * n * k);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = static_cast<Round>(100 * n * k);
+  const AlgoSpec algo = AlgoSpec::parse("single_source");
 
   ChurnAdversary plain(churn_config(n, 5));
-  const RunResult baseline = run_single_source(n, k, 0, plain, cap);
+  const RunResult baseline = run_algo(algo, ctx, plain);
 
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   BinaryTraceWriter writer(buf, n, 5, "");
   ChurnAdversary wrapped(churn_config(n, 5));
   TraceRecorder recorder(wrapped, writer);
-  const RunResult recorded = run_single_source(n, k, 0, recorder, cap);
+  const RunResult recorded = run_algo(algo, ctx, recorder);
   writer.finish();
 
   expect_metrics_equal(baseline, recorded);
@@ -63,20 +67,24 @@ TEST(TraceAdversary, RecordingDoesNotPerturbTheRun) {
 TEST(TraceAdversary, SingleSourceRecordThenReplayIsBitIdentical) {
   const std::size_t n = 24;
   const std::uint32_t k = 48;
-  const Round cap = static_cast<Round>(100 * n * k);
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.cap = static_cast<Round>(100 * n * k);
+  const AlgoSpec algo = AlgoSpec::parse("single_source");
 
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   RunResult recorded = [&] {
     BinaryTraceWriter writer(buf, n, 5, "");
     ChurnAdversary inner(churn_config(n, 5));
     TraceRecorder recorder(inner, writer);
-    RunResult r = run_single_source(n, k, 0, recorder, cap);
+    RunResult r = run_algo(algo, ctx, recorder);
     writer.finish();
     return r;
   }();
 
   TraceAdversary replay(std::make_unique<BinaryTraceReader>(buf));
-  const RunResult replayed = run_single_source(n, k, 0, replay, cap);
+  const RunResult replayed = run_algo(algo, ctx, replay);
   expect_metrics_equal(recorded, replayed);
   EXPECT_EQ(run_payload_checksum(n, k, recorded),
             run_payload_checksum(n, k, replayed));
@@ -86,14 +94,13 @@ TEST(TraceAdversary, SingleSourceRecordThenReplayIsBitIdentical) {
 TEST(TraceAdversary, MultiSourceRecordThenReplayIsBitIdentical) {
   const std::size_t n = 24;
   const std::uint32_t k = 48;
-  const Round cap = static_cast<Round>(100 * n * k);
-  auto make_space = [&] {
-    std::vector<TokenSpace::SourceSpec> specs;
-    for (std::size_t i = 0; i < 4; ++i) {
-      specs.push_back({static_cast<NodeId>(i * (n / 4)), k / 4});
-    }
-    return std::make_shared<TokenSpace>(TokenSpace::contiguous(specs));
-  };
+  // Four sources at i·(n/4), k/4 tokens each.
+  AlgoBuildContext ctx;
+  ctx.n = n;
+  ctx.k = k;
+  ctx.sources = 4;
+  ctx.cap = static_cast<Round>(100 * n * k);
+  const AlgoSpec algo = AlgoSpec::parse("multi_source");
 
   std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
   RunResult recorded = [&] {
@@ -106,13 +113,13 @@ TEST(TraceAdversary, MultiSourceRecordThenReplayIsBitIdentical) {
     sc.seed = 9;
     SigmaStableChurnAdversary inner(sc);
     TraceRecorder recorder(inner, writer);
-    RunResult r = run_multi_source(n, make_space(), recorder, cap);
+    RunResult r = run_algo(algo, ctx, recorder);
     writer.finish();
     return r;
   }();
 
   TraceAdversary replay(std::make_unique<BinaryTraceReader>(buf));
-  const RunResult replayed = run_multi_source(n, make_space(), replay, cap);
+  const RunResult replayed = run_algo(algo, ctx, replay);
   expect_metrics_equal(recorded, replayed);
   EXPECT_EQ(run_payload_checksum(n, k, recorded),
             run_payload_checksum(n, k, replayed));
