@@ -39,11 +39,22 @@
 //   BM_MultiSourceRound — one Multi-Source-Unicast engine round, averaged
 //     over whole runs, on n-gossip (s = n = 128) and on table1's k = n²
 //     phase-2 shape (16 centers owning interleaved token lists).
+//   BM_CacheLookupHit, BM_EncodeRow, BM_WriteIndex — the three costs of a
+//     served cache hit and of the sweep that follows a miss: one
+//     ResultCache::lookup of a stored entry (file read plus full decode),
+//     one protocol row line, and one index.jsonl rewrite over the 832
+//     entries perfbench's serve_mix store reaches, through a fresh handle
+//     (every entry read; /0) and through the handle that stored them
+//     (index memo; /1).
 
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <unordered_map>
 #include <utility>
 
@@ -52,6 +63,8 @@
 #include "adversary/registry.hpp"
 #include "algo/registry.hpp"
 #include "async/event_queue.hpp"
+#include "cache/memo_sweep.hpp"
+#include "cache/result_cache.hpp"
 #include "async/poisson_clock.hpp"
 #include "common/disjoint_set.hpp"
 #include "common/dynamic_bitset.hpp"
@@ -68,6 +81,7 @@
 #include "graph/generators.hpp"
 #include "graph/round_view.hpp"
 #include "metrics/potential.hpp"
+#include "serve/protocol.hpp"
 #include "sim/runner/thread_pool.hpp"
 
 namespace dyngossip {
@@ -842,6 +856,100 @@ void BM_BroadcastEngineRoundFrontier(benchmark::State& state) {
 BENCHMARK(BM_BroadcastEngineRoundFrontier)
     ->Args({10000, 0})
     ->Args({10000, 1})
+    ->Unit(benchmark::kMillisecond);
+
+/// A finished serve_mix-shaped row (n = 24, k = 48) whose checksum
+/// re-folds, so the cache's decode accepts it.
+CachedResult cache_bench_row(std::uint64_t seed) {
+  RunResult run;
+  run.metrics.unicast.token = 1150 + seed % 97;
+  run.metrics.unicast.completeness = 480;
+  run.metrics.unicast.request = 310;
+  run.metrics.tc = 9000 + seed % 13;
+  run.metrics.learnings = 1104;
+  run.metrics.rounds = 370;
+  run.rounds = 370;
+  run.metrics.completed = true;
+  run.completed = true;
+  run.metrics.status = RunStatus::kCompleted;
+  run.metrics.coverage = 1.0;
+  return make_cached_result(24, 48, run);
+}
+
+RunKey cache_bench_key(std::uint64_t seed) {
+  return make_run_key("single_source", "churn", "fault", 24, 48, 4, 0, seed);
+}
+
+/// A fresh cache directory holding `entries` stored rows; removed with the
+/// object.
+struct BenchCacheDir {
+  explicit BenchCacheDir(std::size_t entries)
+      : path((std::filesystem::temp_directory_path() /
+              ("dg_bench_cache_" + std::to_string(::getpid())))
+                 .string()) {
+    std::filesystem::remove_all(path);
+    cache = std::make_unique<ResultCache>(path);
+    for (std::uint64_t seed = 0; seed < entries; ++seed) {
+      cache->store(cache_bench_key(seed), cache_bench_row(seed));
+    }
+  }
+  ~BenchCacheDir() {
+    cache.reset();
+    std::filesystem::remove_all(path);
+  }
+  BenchCacheDir(const BenchCacheDir&) = delete;
+  BenchCacheDir& operator=(const BenchCacheDir&) = delete;
+  std::string path;
+  std::unique_ptr<ResultCache> cache;
+};
+
+void BM_CacheLookupHit(benchmark::State& state) {
+  constexpr std::size_t kEntries = 128;  // one serve_mix hit request
+  const BenchCacheDir dir(kEntries);
+  std::vector<RunKey> keys;
+  for (std::uint64_t seed = 0; seed < kEntries; ++seed) {
+    keys.push_back(cache_bench_key(seed));
+  }
+  std::size_t at = 0;
+  for (auto _ : state) {
+    const std::optional<CachedResult> hit = dir.cache->lookup(keys[at]);
+    if (!hit) {
+      state.SkipWithError("stored entry missed");
+      break;
+    }
+    benchmark::DoNotOptimize(hit->checksum);
+    at = (at + 1) % kEntries;
+  }
+}
+BENCHMARK(BM_CacheLookupHit);
+
+void BM_EncodeRow(benchmark::State& state) {
+  const CachedResult row = cache_bench_row(7);
+  std::size_t trial = 0;
+  for (auto _ : state) {
+    const std::string line = encode_row(trial, 1000 + trial, true, row);
+    benchmark::DoNotOptimize(line.data());
+    trial = (trial + 1) % 128;
+  }
+}
+BENCHMARK(BM_EncodeRow);
+
+void BM_WriteIndex(benchmark::State& state) {
+  const BenchCacheDir dir(static_cast<std::size_t>(state.range(0)));
+  const bool memo = state.range(1) != 0;
+  dir.cache->write_index();
+  for (auto _ : state) {
+    if (memo) {
+      dir.cache->write_index();
+    } else {
+      const ResultCache fresh(dir.path);
+      fresh.write_index();
+    }
+  }
+}
+BENCHMARK(BM_WriteIndex)
+    ->Args({832, 0})
+    ->Args({832, 1})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

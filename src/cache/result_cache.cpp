@@ -1,11 +1,14 @@
 #include "cache/result_cache.hpp"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -179,12 +182,38 @@ struct DecodedEntry {
   return e;
 }
 
+/// The whole file: one open, a read per 4 KiB (an entry is ~0.4 KiB), and
+/// a close.
 [[nodiscard]] std::string read_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("cannot open");
-  std::ostringstream body;
-  body << in.rdbuf();
-  return body.str();
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) throw std::runtime_error("cannot open");
+  std::string body;
+  char chunk[4096];
+  for (;;) {
+    const ssize_t got = ::read(fd, chunk, sizeof chunk);
+    if (got < 0 && errno == EINTR) continue;
+    if (got < 0) {
+      ::close(fd);
+      throw std::runtime_error("cannot read");
+    }
+    if (got == 0) break;
+    body.append(chunk, static_cast<std::size_t>(got));
+  }
+  ::close(fd);
+  return body;
+}
+
+/// One index.jsonl entry line.
+[[nodiscard]] std::string index_line(const std::string& digest,
+                                     std::uint32_t schema,
+                                     const std::string& key_text,
+                                     std::uint64_t checksum) {
+  JsonValue line = JsonValue::object();
+  line.set("digest", JsonValue::str(digest));
+  line.set("schema", JsonValue::number(static_cast<double>(schema)));
+  line.set("key", JsonValue::str(key_text));
+  line.set("checksum", JsonValue::str(checksum_hex(checksum)));
+  return line.dump();
 }
 
 [[nodiscard]] bool is_tmp_name(const std::string& name) {
@@ -193,11 +222,46 @@ struct DecodedEntry {
 
 std::atomic<std::uint64_t> g_tmp_counter{0};
 
+/// Publishes `body` at `path`: written to a sibling .tmp-* file, then
+/// renamed over `path`.  Returns false (leaving no file behind) when any
+/// step fails.
+[[nodiscard]] bool publish_file(const std::string& path, const std::string& body) {
+  const std::string tmp =
+      path + ".tmp-" + std::to_string(g_tmp_counter.fetch_add(1));
+  const int fd =
+      ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;  // unwritable cache degrades, never errors
+  std::size_t off = 0;
+  while (off < body.size()) {
+    const ssize_t wrote = ::write(fd, body.data() + off, body.size() - off);
+    if (wrote < 0 && errno == EINTR) continue;
+    if (wrote <= 0) break;
+    off += static_cast<std::size_t>(wrote);
+  }
+  const bool written = ::close(fd) == 0 && off == body.size();
+  if (!written || ::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
 
-ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
+std::optional<ResultCache::FileStamp> ResultCache::stamp_of(
+    const std::string& path) {
+  struct stat st {};
+  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
+  return FileStamp{static_cast<std::uint64_t>(st.st_ino),
+                   static_cast<std::int64_t>(st.st_size),
+                   static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
+                       st.st_mtim.tv_nsec};
+}
+
+ResultCache::ResultCache(std::string dir)
+    : dir_(std::move(dir)), objects_dir_((fs::path(dir_) / "objects").string()) {
   std::error_code ec;
-  fs::create_directories(fs::path(dir_) / "objects", ec);
+  fs::create_directories(objects_dir_, ec);
   if (ec) {
     throw std::runtime_error("cache: cannot create '" + dir_ +
                              "': " + ec.message());
@@ -205,19 +269,30 @@ ResultCache::ResultCache(std::string dir) : dir_(std::move(dir)) {
 }
 
 std::string ResultCache::entry_path(const RunKey& key) const {
-  const std::string hex = digest_hex(key.digest());
-  return (fs::path(dir_) / "objects" / hex.substr(0, 2) / (hex + ".json"))
-      .string();
+  return digest_path(key.digest());
+}
+
+std::string ResultCache::digest_path(std::uint64_t digest) const {
+  // The same spelling the directory walks produce (objects / hh / name),
+  // so a stored entry's index memo is found again by its walked path.
+  const std::string hex = digest_hex(digest);
+  std::string path = objects_dir_;
+  path += '/';
+  path.append(hex, 0, 2);
+  path += '/';
+  path += hex;
+  path += ".json";
+  return path;
 }
 
 std::optional<CachedResult> ResultCache::lookup(const RunKey& key) {
   std::optional<CachedResult> found;
   try {
-    const DecodedEntry e = decode_entry(read_file(entry_path(key)));
+    const std::string text = key.canonical_text();
+    const DecodedEntry e = decode_entry(read_file(digest_path(fnv1a64(text))));
     // Both guards are load-bearing: a foreign-generation entry or a digest
     // collision must miss, never masquerade as this key's row.
-    if (e.schema == kCacheSchemaVersion &&
-        e.key_text == key.canonical_text()) {
+    if (e.schema == kCacheSchemaVersion && e.key_text == text) {
       found = e.row;
     }
   } catch (const std::exception&) {
@@ -233,29 +308,22 @@ std::optional<CachedResult> ResultCache::lookup(const RunKey& key) {
 }
 
 void ResultCache::store(const RunKey& key, const CachedResult& row) {
-  const std::string path = entry_path(key);
+  const std::string text = key.canonical_text();
+  const std::uint64_t digest = fnv1a64(text);
+  const std::string path = digest_path(digest);
   std::error_code ec;
   if (fs::exists(path, ec)) return;  // identical by key purity
   fs::create_directories(fs::path(path).parent_path(), ec);
-  const std::string tmp =
-      path + ".tmp-" + std::to_string(g_tmp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;  // unwritable cache degrades to cold runs, not errors
-    out << encode_entry(key, row);
-    if (!out) {
-      out.close();
-      fs::remove(tmp, ec);
-      return;
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    fs::remove(tmp, ec);
-    return;
-  }
+  if (!publish_file(path, encode_entry(key, row))) return;
+  // Remember the index line with the stamp the next directory walk will
+  // see, so write_index need not read this entry back.
+  const std::optional<FileStamp> stamp = stamp_of(path);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.stores;
+  if (stamp) {
+    stored_.push_back({path, {*stamp, index_line(digest_hex(digest), key.schema,
+                                                 text, row.checksum)}});
+  }
 }
 
 CacheStats ResultCache::stats() const {
@@ -264,55 +332,64 @@ CacheStats ResultCache::stats() const {
 }
 
 void ResultCache::write_index() const {
-  std::size_t entries = 0;
+  std::lock_guard<std::mutex> index_lock(index_mu_);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (auto& [path, memo] : stored_) {
+      index_memo_.insert_or_assign(std::move(path), std::move(memo));
+    }
+    stored_.clear();
+  }
+  // Walk the store; an entry whose (inode, size, mtime) matches the memo
+  // keeps its remembered line, any other is read and decoded afresh.  The
+  // memo is rebuilt from this walk, so removed entries leave it.
+  std::unordered_map<std::string, IndexMemo> seen;
   std::vector<std::string> lines;
   std::error_code ec;
-  const fs::path objects = fs::path(dir_) / "objects";
-  for (auto it = fs::recursive_directory_iterator(objects, ec);
+  for (auto it = fs::recursive_directory_iterator(objects_dir_, ec);
        !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
     if (is_tmp_name(it->path().filename().string())) continue;
     if (it->path().extension() != ".json") continue;
-    try {
-      const DecodedEntry e = decode_entry(read_file(it->path().string()));
-      JsonValue line = JsonValue::object();
-      line.set("digest", JsonValue::str(it->path().stem().string()));
-      line.set("schema", JsonValue::number(static_cast<double>(e.schema)));
-      line.set("key", JsonValue::str(e.key_text));
-      line.set("checksum", JsonValue::str(checksum_hex(e.row.checksum)));
-      lines.push_back(line.dump());
-      ++entries;
-    } catch (const std::exception&) {
-      // verify reports corruption; the index just skips it.
+    std::string path = it->path().string();
+    const std::optional<FileStamp> stamp = stamp_of(path);
+    if (!stamp) continue;
+    IndexMemo memo{*stamp, {}};
+    const auto known = index_memo_.find(path);
+    if (known != index_memo_.end() && known->second.stamp == *stamp) {
+      memo.line = std::move(known->second.line);
+    } else {
+      try {
+        const DecodedEntry e = decode_entry(read_file(path));
+        memo.line = index_line(it->path().stem().string(), e.schema,
+                               e.key_text, e.row.checksum);
+      } catch (const std::exception&) {
+        continue;  // verify reports corruption; the index just skips it.
+      }
     }
+    lines.push_back(memo.line);
+    seen.insert_or_assign(std::move(path), std::move(memo));
   }
+  index_memo_ = std::move(seen);
+
   std::sort(lines.begin(), lines.end());
-  std::ostringstream body;
   JsonValue header = JsonValue::object();
   header.set("cache", JsonValue::str("dyngossip-result-cache"));
   header.set("schema",
              JsonValue::number(static_cast<double>(kCacheSchemaVersion)));
-  header.set("entries", JsonValue::number(static_cast<double>(entries)));
-  body << header.dump() << "\n";
-  for (const std::string& line : lines) body << line << "\n";
-
-  const std::string final_path = (fs::path(dir_) / "index.jsonl").string();
-  const std::string tmp =
-      final_path + ".tmp-" + std::to_string(g_tmp_counter.fetch_add(1));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return;
-    out << body.str();
+  header.set("entries", JsonValue::number(static_cast<double>(lines.size())));
+  std::string body = header.dump() + "\n";
+  for (const std::string& line : lines) {
+    body += line;
+    body += '\n';
   }
-  fs::rename(tmp, final_path, ec);
-  if (ec) fs::remove(tmp, ec);
+  (void)publish_file((fs::path(dir_) / "index.jsonl").string(), body);
 }
 
 CacheInfo ResultCache::info() const {
   CacheInfo info;
   std::error_code ec;
-  const fs::path objects = fs::path(dir_) / "objects";
-  for (auto it = fs::recursive_directory_iterator(objects, ec);
+  for (auto it = fs::recursive_directory_iterator(objects_dir_, ec);
        !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
     const std::string name = it->path().filename().string();
@@ -330,8 +407,7 @@ CacheInfo ResultCache::info() const {
 CacheVerifyReport ResultCache::verify() const {
   CacheVerifyReport report;
   std::error_code ec;
-  const fs::path objects = fs::path(dir_) / "objects";
-  for (auto it = fs::recursive_directory_iterator(objects, ec);
+  for (auto it = fs::recursive_directory_iterator(objects_dir_, ec);
        !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
     const std::string path = it->path().string();
@@ -360,9 +436,8 @@ CacheVerifyReport ResultCache::verify() const {
 CacheGcReport ResultCache::gc(bool all) {
   CacheGcReport report;
   std::error_code ec;
-  const fs::path objects = fs::path(dir_) / "objects";
   std::vector<fs::path> to_remove;
-  for (auto it = fs::recursive_directory_iterator(objects, ec);
+  for (auto it = fs::recursive_directory_iterator(objects_dir_, ec);
        !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
     if (!it->is_regular_file(ec)) continue;
     const fs::path path = it->path();

@@ -21,6 +21,17 @@
 // stored payload checksum that does not re-fold from the stored fields all
 // degrade to a MISS — the caller recomputes, never aborts.  `cache verify`
 // walks the store and reports exactly which entries would miss and why.
+// A lookup is one open/read/close of the entry plus a full decode: every
+// guard above runs on every hit.
+//
+// Index memo: the handle remembers the index line of each entry it stored
+// or decoded during a write_index walk, with that file's (inode, size,
+// mtime).  write_index re-reads only entries whose stamp differs, so a
+// rewrite after a few stores costs a directory walk and a stat per entry.
+// lookup, verify and gc never use the memo.  Because the index stays
+// advisory, the memo may trust a stamp that an in-place rewrite within the
+// filesystem's timestamp granularity left unchanged; lookup and verify
+// still read such an entry in full.
 //
 // Write contract: the caller only stores terminal, machine-independent
 // rows; RunStatus::kTimeout must bypass write-back (a timeout is a property
@@ -33,6 +44,8 @@
 #include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "cache/run_key.hpp"
@@ -116,7 +129,10 @@ class ResultCache {
   /// Counters accumulated by this handle.  Thread-safe.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Rewrites index.jsonl from the object store (atomic tmp+rename).
+  /// Rewrites index.jsonl from the object store (atomic tmp+rename),
+  /// re-reading only entries the index memo does not know under their
+  /// current stamp (see file comment).  Thread-safe; rewrites through one
+  /// handle are serialized.
   void write_index() const;
 
   [[nodiscard]] CacheInfo info() const;
@@ -130,9 +146,32 @@ class ResultCache {
   [[nodiscard]] std::string entry_path(const RunKey& key) const;
 
  private:
+  /// What identifies one version of an entry file in a directory walk.
+  struct FileStamp {
+    std::uint64_t inode = 0;
+    std::int64_t size = 0;
+    std::int64_t mtime_ns = 0;
+    bool operator==(const FileStamp&) const = default;
+  };
+  /// An entry's index line and the stamp of the file it was derived from.
+  struct IndexMemo {
+    FileStamp stamp;
+    std::string line;
+  };
+
+  [[nodiscard]] static std::optional<FileStamp> stamp_of(const std::string& path);
+  [[nodiscard]] std::string digest_path(std::uint64_t digest) const;
+
   std::string dir_;
+  std::string objects_dir_;  ///< dir_/objects, as the directory walks spell it
   mutable std::mutex mu_;
   CacheStats stats_;
+  /// Index memos of entries stored since the last write_index (guarded by
+  /// mu_, so stores never wait on a rewrite).
+  mutable std::vector<std::pair<std::string, IndexMemo>> stored_;
+  /// Serializes write_index and guards index_memo_ (walked path → memo).
+  mutable std::mutex index_mu_;
+  mutable std::unordered_map<std::string, IndexMemo> index_memo_;
 };
 
 }  // namespace dyngossip

@@ -174,7 +174,10 @@ void register_algo_matrix(ScenarioRegistry& registry) {
                 scenario_algo_axis_params(),
                 run,
                 /*adversary_axis=*/true,
-                /*algo_axis=*/true});
+                /*algo_axis=*/true,
+                /*fault_axis=*/false,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

@@ -236,7 +236,9 @@ void register_fault_sweep(ScenarioRegistry& registry) {
                 run,
                 /*adversary_axis=*/false,
                 /*algo_axis=*/false,
-                /*fault_axis=*/false});
+                /*fault_axis=*/false,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

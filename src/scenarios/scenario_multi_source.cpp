@@ -260,7 +260,9 @@ void register_multi_source(ScenarioRegistry& registry) {
                 run,
                 /*adversary_axis=*/true,
                 /*algo_axis=*/true,
-                /*fault_axis=*/true});
+                /*fault_axis=*/true,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

@@ -187,7 +187,9 @@ void register_sigma_stable_churn(ScenarioRegistry& registry) {
                 run,
                 /*adversary_axis=*/true,
                 /*algo_axis=*/true,
-                /*fault_axis=*/true});
+                /*fault_axis=*/true,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

@@ -106,7 +106,12 @@ void register_single_source_time(ScenarioRegistry& registry) {
   registry.add({"single_source_time",
                 "Theorem 3.4: O(nk) round bound under 3-edge-stable churn",
                 {},
-                run});
+                run,
+                /*adversary_axis=*/false,
+                /*algo_axis=*/false,
+                /*fault_axis=*/false,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

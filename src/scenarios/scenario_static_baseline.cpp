@@ -68,7 +68,12 @@ void register_static_baseline(ScenarioRegistry& registry) {
   registry.add({"static_baseline",
                 "Section 1 static reference: spanning tree + token pipeline",
                 {},
-                run});
+                run,
+                /*adversary_axis=*/false,
+                /*algo_axis=*/false,
+                /*fault_axis=*/false,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

@@ -238,7 +238,9 @@ void register_sync_vs_async(ScenarioRegistry& registry) {
                 run,
                 /*adversary_axis=*/true,
                 /*algo_axis=*/true,
-                /*fault_axis=*/true});
+                /*fault_axis=*/true,
+                /*probe_axis=*/true,
+                /*cache_axis=*/true});
 }
 
 }  // namespace dyngossip

@@ -190,7 +190,10 @@ void register_table1(ScenarioRegistry& registry) {
                 "Table 1: amortized oblivious cost across four token regimes",
                 scenario_axis_params(),
                 run,
-                /*adversary_axis=*/true});
+                /*adversary_axis=*/true,
+                /*algo_axis=*/false,
+                /*fault_axis=*/false,
+                /*probe_axis=*/true});
 }
 
 }  // namespace dyngossip

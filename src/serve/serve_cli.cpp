@@ -4,9 +4,11 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -32,6 +34,9 @@ constexpr const char* kServeUsage =
     "the content-addressed result cache with `dyngossip run --cache=DIR`.\n"
     "--max-requests=N exits after serving N connections (0: run forever).\n";
 
+/// serve_connection sends a batch once it holds this many bytes.
+constexpr std::size_t kSendBatchBytes = 64 * 1024;
+
 constexpr const char* kRequestUsage =
     "usage: dyngossip request --socket=PATH --adversary=SPEC --n=N --k=K\n"
     "                         [--algo=SPEC] [--fault=SPEC] [--sources=S]\n"
@@ -41,18 +46,16 @@ constexpr const char* kRequestUsage =
     "streamed protocol lines (accepted / row per trial / done) to stdout.\n"
     "Exit 0 on done, 1 on a server error line or connection failure.\n";
 
-/// Writes all of `line` + '\n' to fd, absorbing partial writes.  Returns
-/// false when the peer is gone.
-bool write_line(int fd, const std::string& line) {
-  std::string framed = line + "\n";
+/// Writes all of `bytes` to fd, absorbing partial writes.  Returns false
+/// when the peer is gone.
+bool send_all(int fd, const std::string& bytes) {
   std::size_t off = 0;
-  while (off < framed.size()) {
+  while (off < bytes.size()) {
 #ifdef MSG_NOSIGNAL
-    const ssize_t wrote = ::send(fd, framed.data() + off, framed.size() - off,
-                                 MSG_NOSIGNAL);
-#else
     const ssize_t wrote =
-        ::send(fd, framed.data() + off, framed.size() - off, 0);
+        ::send(fd, bytes.data() + off, bytes.size() - off, MSG_NOSIGNAL);
+#else
+    const ssize_t wrote = ::send(fd, bytes.data() + off, bytes.size() - off, 0);
 #endif
     if (wrote <= 0) {
       if (wrote < 0 && errno == EINTR) continue;
@@ -61,6 +64,10 @@ bool write_line(int fd, const std::string& line) {
     off += static_cast<std::size_t>(wrote);
   }
   return true;
+}
+
+bool write_line(int fd, const std::string& line) {
+  return send_all(fd, line + "\n");
 }
 
 /// Reads one '\n'-terminated line (the terminator is stripped).  Returns
@@ -115,6 +122,8 @@ bool read_line(int fd, std::string& buffer, std::string& line) {
   return fd;
 }
 
+}  // namespace
+
 void serve_connection(SweepService& service, int fd) {
   std::string buffer;
   std::string line;
@@ -130,14 +139,29 @@ void serve_connection(SweepService& service, int fd) {
     ::close(fd);
     return;
   }
+  // Lines are batched: one send per flush point of the sweep, at the end,
+  // and whenever the batch passes kSendBatchBytes.
+  std::string out;
   bool alive = true;
-  service.run_sweep(req, [fd, &alive](const std::string& out) {
+  const auto flush = [fd, &out, &alive] {
     // A vanished client must not kill the sweep mid-flight (its trials may
     // be deduped onto by other sessions); keep draining, stop writing.
-    if (alive) alive = write_line(fd, out);
-  });
+    if (alive && !out.empty()) alive = send_all(fd, out);
+    out.clear();
+  };
+  service.run_sweep(
+      req,
+      [&out, &flush](const std::string& emitted) {
+        out += emitted;
+        out += '\n';
+        if (out.size() >= kSendBatchBytes) flush();
+      },
+      flush);
+  flush();
   ::close(fd);
 }
+
+namespace {
 
 int cmd_serve(const CliArgs& args) {
   args.allow_only({"socket", "threads", "cache", "max-requests"}, kServeUsage);
@@ -172,7 +196,14 @@ int cmd_serve(const CliArgs& args) {
                socket_path.c_str(), pool.size(),
                cache != nullptr ? (", cache " + cache->dir()).c_str() : "");
 
-  std::vector<std::thread> sessions;
+  // One thread per live connection.  Finished ones are joined at the next
+  // accept, so a long-running server holds no thread (or stack) per past
+  // connection.
+  struct Session {
+    std::thread thread;
+    std::unique_ptr<std::atomic<bool>> done;
+  };
+  std::vector<Session> sessions;
   std::int64_t served = 0;
   while (max_requests == 0 || served < max_requests) {
     const int fd = ::accept(listen_fd, nullptr, nullptr);
@@ -182,9 +213,22 @@ int cmd_serve(const CliArgs& args) {
       break;
     }
     ++served;
-    sessions.emplace_back([&service, fd] { serve_connection(service, fd); });
+    for (auto it = sessions.begin(); it != sessions.end();) {
+      if (it->done->load()) {
+        it->thread.join();
+        it = sessions.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    auto done = std::make_unique<std::atomic<bool>>(false);
+    std::thread thread([&service, fd, flag = done.get()] {
+      serve_connection(service, fd);
+      flag->store(true);
+    });
+    sessions.push_back({std::move(thread), std::move(done)});
   }
-  for (std::thread& t : sessions) t.join();
+  for (Session& s : sessions) s.thread.join();
   ::close(listen_fd);
   ::unlink(socket_path.c_str());
   std::fprintf(stderr, "[dyngossip] serve: %lld request(s) served, exiting\n",

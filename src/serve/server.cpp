@@ -104,7 +104,8 @@ struct ResolvedSweep {
 
 void SweepService::run_sweep(
     const SweepRequest& req,
-    const std::function<void(const std::string&)>& emit) {
+    const std::function<void(const std::string&)>& emit,
+    const std::function<void()>& flush) {
   ResolvedSweep sweep;
   try {
     sweep = resolve_sweep(req);
@@ -213,6 +214,11 @@ void SweepService::run_sweep(
     Slot& slot = slots[i];
     if (slot.pending != nullptr) {
       std::unique_lock<std::mutex> lock(slot.pending->mu);
+      if (!slot.pending->done && flush) {
+        lock.unlock();  // a slow client must not hold up the trial's owner
+        flush();
+        lock.lock();
+      }
       slot.pending->cv.wait(lock, [&] { return slot.pending->done; });
       if (slot.pending->failed) {
         scheduler_.close_session(session);

@@ -6,7 +6,8 @@
 //
 // Transport-free by design: run_sweep emits protocol lines through a
 // callback, so the unix-socket layer (serve_cli) and the in-process tests
-// drive the exact same code.
+// drive the exact same code.  A flush callback marks where the sweep is
+// about to wait, so the socket layer can batch the lines before it.
 //
 // Scheduling: every admitted trial becomes one "ticket" job on the pool; a
 // ticket, when it runs, asks the FairScheduler for the next trial in
@@ -74,8 +75,12 @@ class SweepService {
   /// Runs one sweep, emitting protocol lines (without trailing newline)
   /// through `emit` in order: accepted, rows in trial order, done — or a
   /// terminal error line at any point.  Blocks until the sweep finishes.
+  /// `flush`, when given, is called before the sweep blocks on a trial that
+  /// is still running, so a transport that buffers the emitted lines can
+  /// send the rows that are ready.
   void run_sweep(const SweepRequest& req,
-                 const std::function<void(const std::string&)>& emit);
+                 const std::function<void(const std::string&)>& emit,
+                 const std::function<void()>& flush = {});
 
  private:
   /// One in-flight (or finished) trial computation, shared by every session

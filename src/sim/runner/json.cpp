@@ -1,6 +1,8 @@
 #include "sim/runner/json.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -117,6 +119,17 @@ void number_to(double v, std::string& out) {
     return;
   }
   char buf[32];
+  // Counts, rounds and sizes dominate every document.  An integral value
+  // below 1e15 has at most 15 significant digits, so %.15g prints it as a
+  // plain integer: std::to_chars gives the same bytes without the
+  // snprintf/strtod round trip.  -0.0 prints as "-0" and stays on the
+  // general path.
+  if (std::fabs(v) < 1e15 && v == std::trunc(v) &&
+      !(v == 0.0 && std::signbit(v))) {
+    out.append(buf, std::to_chars(buf, buf + sizeof buf,
+                                  static_cast<std::int64_t>(v)).ptr);
+    return;
+  }
   // %.17g round-trips doubles exactly; trim to the shortest that does.
   for (const int prec : {15, 16, 17}) {
     std::snprintf(buf, sizeof buf, "%.*g", prec, v);

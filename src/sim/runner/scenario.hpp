@@ -152,8 +152,8 @@ class ScenarioContext {
 
   /// Global --probe= axis: the sink collecting per-round series from every
   /// instrumented trial, or null (the default) for the exact legacy code
-  /// path.  Set by the CLI after parsing the probe spec; scenarios that
-  /// pre-date the observer plane simply never register series.
+  /// path.  Set by the CLI after parsing the probe spec, only for scenarios
+  /// registered with probe_axis.
   [[nodiscard]] ProbeSink* probe_sink() const noexcept { return probe_sink_; }
   void set_probe_sink(ProbeSink* sink) { probe_sink_ = sink; }
 
@@ -213,6 +213,14 @@ struct Scenario {
   /// True when the scenario additionally honours the global --fault= axis
   /// (ScenarioContext::fault_spec); the CLI rejects the flag otherwise.
   bool fault_axis = false;
+  /// True when the scenario registers per-round series with the global
+  /// --probe= sink (ScenarioContext::probe_sink); the CLI rejects the flag
+  /// otherwise, rather than write an empty series file.
+  bool probe_axis = false;
+  /// True when the scenario's trials run through memoized_sweep, the one
+  /// consumer of the global --cache= axis; the CLI rejects the flag
+  /// otherwise, rather than report a cache that was never consulted.
+  bool cache_axis = false;
 };
 
 }  // namespace dyngossip

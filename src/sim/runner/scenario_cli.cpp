@@ -63,12 +63,14 @@ constexpr const char* kUsage =
     "      --trial-timeout=S  wall-clock budget per trial in seconds;\n"
     "                    over-budget trials report status=timeout\n"
     "      --probe=SPEC  emit per-round series from every instrumented\n"
-    "                    trial (see `probes`); never perturbs the run\n"
+    "                    trial (see `probes`); never perturbs the run;\n"
+    "                    keyed-trial scenarios and table1 only\n"
     "      --timeline=FILE  write a chrome://tracing / Perfetto trace of\n"
     "                    rounds, phases, shard jobs, and pool queue waits\n"
     "      --cache=DIR   consult/fill the content-addressed result cache:\n"
     "                    warm re-runs serve trials from disk and skip to\n"
-    "                    aggregation, byte-identical to a cold run\n"
+    "                    aggregation, byte-identical to a cold run;\n"
+    "                    keyed-trial scenarios only (`list --json`)\n"
     "      --<param>=v   scenario-specific parameter (see `list`)\n"
     "  trace <record|replay|info|gen> [flags]\n"
     "                                record, replay, inspect, or synthesize\n"
@@ -168,6 +170,8 @@ int cmd_list(const ScenarioRegistry& registry, const CliArgs& args) {
       entry.set("adversary_axis", JsonValue::boolean(s->adversary_axis));
       entry.set("algo_axis", JsonValue::boolean(s->algo_axis));
       entry.set("fault_axis", JsonValue::boolean(s->fault_axis));
+      entry.set("probe_axis", JsonValue::boolean(s->probe_axis));
+      entry.set("cache_axis", JsonValue::boolean(s->cache_axis));
       scenarios.push(std::move(entry));
     }
     doc.set("scenarios", std::move(scenarios));
@@ -426,9 +430,17 @@ int run_one_scenario(ScenarioRegistry& registry, const std::string& name,
     return 2;
   }
 
-  // The global observability axes: --probe=SPEC / --timeline=FILE.  Unlike
-  // the perturbing axes these apply to every scenario (one that pre-dates
-  // the observer plane just emits an empty series file).
+  // The global observability axes: --probe=SPEC / --timeline=FILE.  The
+  // timeline applies to every scenario (the pool's spans cover any run);
+  // --probe, like --cache below, only to the scenarios that consume it.
+  if (args.has("probe") && !scenario->probe_axis) {
+    std::fprintf(stderr,
+                 "scenario '%s' registers no probe series, so --probe would "
+                 "be ignored; `dyngossip list --json` marks the scenarios "
+                 "with a probe_axis\n",
+                 name.c_str());
+    return 2;
+  }
   bool probe_on = false;
   ProbeSpec probe_spec;
   if (args.has("probe")) {
@@ -452,6 +464,14 @@ int run_one_scenario(ScenarioRegistry& registry, const std::string& name,
   // The global --cache= axis: a content-addressed result cache directory
   // (created if needed).  Opened up front so an unusable path dies as a
   // flag error before any run starts.
+  if (args.has("cache") && !scenario->cache_axis) {
+    std::fprintf(stderr,
+                 "scenario '%s' does not run keyed trials, so --cache would "
+                 "be ignored; `dyngossip list --json` marks the scenarios "
+                 "with a cache_axis\n",
+                 name.c_str());
+    return 2;
+  }
   std::unique_ptr<ResultCache> cache;
   if (args.has("cache")) {
     const std::string dir = args.get_string("cache", "");

@@ -514,6 +514,75 @@ TEST(ResultCache, IndexAndInfoTrackTheObjectStore) {
   EXPECT_EQ(cache.verify().valid, 0u);
 }
 
+std::string read_index(const ResultCache& cache) {
+  std::ifstream in(cache.dir() + "/index.jsonl", std::ios::binary);
+  return std::string((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+}
+
+/// The index a handle with an empty memo writes for the same directory.
+std::string fresh_index(const std::string& dir) {
+  const ResultCache fresh(dir);
+  fresh.write_index();
+  return read_index(fresh);
+}
+
+TEST(ResultCache, IndexRewriteMatchesAFreshHandle) {
+  const std::string dir = fresh_cache_dir("index_memo");
+  ResultCache cache(dir);
+  for (std::uint64_t seed = 0; seed < 6; ++seed) {
+    cache.store(key_with_seed(60 + seed), sample_row(24));
+  }
+  RunKey foreign = key_with_seed(70);
+  foreign.schema = kCacheSchemaVersion + 1;
+  cache.store(foreign, sample_row(24));
+  // First rewrite: every line comes from a store's memo.
+  cache.write_index();
+  const std::string first = read_index(cache);
+  EXPECT_EQ(first, fresh_index(dir));
+  EXPECT_NE(first.find("\"entries\":7"), std::string::npos) << first;
+  // Second rewrite: every line comes from the walk's memo.
+  cache.store(key_with_seed(80), sample_row(24));
+  cache.write_index();
+  const std::string second = read_index(cache);
+  EXPECT_EQ(second, fresh_index(dir));
+}
+
+TEST(ResultCache, IndexRewriteFollowsChangesMadeBehindTheHandle) {
+  const std::string dir = fresh_cache_dir("index_changes");
+  ResultCache cache(dir);
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    cache.store(key_with_seed(90 + seed), sample_row(24));
+  }
+  cache.write_index();
+  const auto listed = [&](std::uint64_t seed) {
+    return read_index(cache).find(key_with_seed(seed).canonical_text()) !=
+           std::string::npos;
+  };
+  ASSERT_TRUE(listed(90) && listed(91) && listed(92) && listed(93));
+
+  // Removed from disk, stored by another handle, truncated in place.
+  std::filesystem::remove(cache.entry_path(key_with_seed(90)));
+  {
+    ResultCache other(dir);
+    other.store(key_with_seed(94), sample_row(24));
+  }
+  const std::string truncated = cache.entry_path(key_with_seed(91));
+  std::filesystem::resize_file(truncated,
+                               std::filesystem::file_size(truncated) / 2);
+
+  cache.write_index();
+  EXPECT_FALSE(listed(90)) << "removed entry still indexed";
+  EXPECT_FALSE(listed(91)) << "truncated entry still indexed";
+  EXPECT_TRUE(listed(92));
+  EXPECT_TRUE(listed(93));
+  EXPECT_TRUE(listed(94)) << "another handle's entry not picked up";
+  const std::string rewritten = read_index(cache);
+  EXPECT_EQ(rewritten, fresh_index(dir));
+  // The handle still refuses the truncated entry on lookup.
+  EXPECT_FALSE(cache.lookup(key_with_seed(91)).has_value());
+}
+
 TEST(ResultCache, StoreIsIdempotentUnderTheSameKey) {
   ResultCache cache(fresh_cache_dir("idempotent"));
   const RunKey key = key_with_seed(5);

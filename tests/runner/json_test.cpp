@@ -1,7 +1,12 @@
 // Tests for the minimal JSON value type.
 #include "sim/runner/json.hpp"
 
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <random>
 #include <stdexcept>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -57,6 +62,41 @@ TEST(Json, NumberRoundTripIsExact) {
   for (const double v : {0.0, -1.5, 1.0 / 3.0, 1e-300, 12345678901234.5}) {
     const JsonValue parsed = JsonValue::parse(JsonValue::number(v).dump());
     EXPECT_EQ(parsed.as_number(), v);
+  }
+}
+
+/// The shortest of %.15g / %.16g / %.17g that reads back exactly — the
+/// general rendering every number had before the integer fast path.
+std::string snprintf_reference(double v) {
+  if (!std::isfinite(v)) return "null";
+  char buf[32];
+  for (const int prec : {15, 16, 17}) {
+    std::snprintf(buf, sizeof buf, "%.*g", prec, v);
+    if (std::strtod(buf, nullptr) == v) break;
+  }
+  return buf;
+}
+
+TEST(Json, NumberRenderingMatchesTheSnprintfReference) {
+  const double edge[] = {0.0,     1.0,     -1.0,        1e15 - 1,     -(1e15 - 1),
+                         1e15,    -1e15,   9007199254740992.0, -0.0,  1e15 + 2,
+                         0.5,     -2.25,   1.0 / 3.0,   1e-300,       12345678901234.5,
+                         1e300,   -7e22,   123456789012345.6};
+  for (const double v : edge) {
+    EXPECT_EQ(JsonValue::number(v).dump(), snprintf_reference(v)) << v;
+  }
+  EXPECT_EQ(JsonValue::number(-0.0).dump(), "-0");
+  EXPECT_EQ(JsonValue::number(1e15 - 1).dump(), "999999999999999");
+  EXPECT_EQ(JsonValue::number(1e15).dump(), "1e+15");
+
+  // Integers of every magnitude up to 2^60, both signs: those below 1e15
+  // take the fast path, the rest the general one.
+  std::mt19937_64 rng(20261020);
+  for (int i = 0; i < 100000; ++i) {
+    const int bits = 1 + static_cast<int>(rng() % 60);
+    const auto magnitude = static_cast<double>(rng() >> (64 - bits));
+    const double v = (rng() & 1) != 0 ? -magnitude : magnitude;
+    ASSERT_EQ(JsonValue::number(v).dump(), snprintf_reference(v)) << v;
   }
 }
 

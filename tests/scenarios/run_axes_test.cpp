@@ -317,6 +317,49 @@ TEST(AlgoAxis, SpanningTreeRejectsAnActiveFaultPlan) {
   EXPECT_EQ(rows("drop=0"), rows(""));
 }
 
+TEST(ObserverAxes, ScenariosThatWouldIgnoreCacheOrProbeRejectThem) {
+  // upper_bounds, lb_broadcast, oblivious_funnel and ablations run their
+  // trials outside memoized_sweep: --cache and --probe are usage errors
+  // there (exit 2, no cache directory created), not silently ignored.
+  const std::string dir = ::testing::TempDir() + "dg_rejected_cache_" +
+                          std::to_string(::getpid());
+  const std::string series = ::testing::TempDir() + "dg_rejected_probe_" +
+                             std::to_string(::getpid()) + ".jsonl";
+  std::filesystem::remove_all(dir);
+  for (const char* scenario :
+       {"upper_bounds", "lb_broadcast", "oblivious_funnel", "ablations"}) {
+    const auto [cache_code, cache_err] =
+        run_cli({scenario, "--quick", "--cache=" + dir});
+    EXPECT_EQ(cache_code, 2) << scenario;
+    EXPECT_NE(cache_err.find("--cache"), std::string::npos) << cache_err;
+    const auto [probe_code, probe_err] = run_cli(
+        {scenario, "--quick", "--probe=round_series:out=" + series});
+    EXPECT_EQ(probe_code, 2) << scenario;
+    EXPECT_NE(probe_err.find("--probe"), std::string::npos) << probe_err;
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir));
+  EXPECT_FALSE(std::filesystem::exists(series));
+
+  // table1 keeps --probe (its trials register series) but not --cache;
+  // keyed scenarios keep both; --timeline applies everywhere.
+  EXPECT_EQ(run_cli({"table1", "--quick", "--cache=" + dir}).first, 2);
+  EXPECT_EQ(run_cli({"table1", "--quick", "--trials=1", "--threads=1",
+                     "--probe=round_series:out=" + series})
+                .first,
+            0);
+  EXPECT_TRUE(std::filesystem::exists(series));
+  EXPECT_EQ(run_cli({"static_baseline", "--quick", "--threads=1",
+                     "--cache=" + dir, "--probe=round_series:out=" + series})
+                .first,
+            0);
+  EXPECT_EQ(run_cli({"lb_broadcast", "--quick", "--threads=1",
+                     "--timeline=" + series})
+                .first,
+            0);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(series);
+}
+
 TEST(FaultAxis, OnlyAnActiveFaultSpecNamesItselfInTheTitle) {
   // An inactive --fault (drop=0) runs the fault-free trials, so its table —
   // title included — must equal the run without the flag; an active spec
