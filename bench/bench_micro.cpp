@@ -39,13 +39,9 @@
 //   BM_MultiSourceRound — one Multi-Source-Unicast engine round, averaged
 //     over whole runs, on n-gossip (s = n = 128) and on table1's k = n²
 //     phase-2 shape (16 centers owning interleaved token lists).
-//   BM_CacheLookupHit, BM_EncodeRow, BM_WriteIndex — the three costs of a
-//     served cache hit and of the sweep that follows a miss: one
-//     ResultCache::lookup of a stored entry (file read plus full decode),
-//     one protocol row line, and one index.jsonl rewrite over the 832
-//     entries perfbench's serve_mix store reaches, through a fresh handle
-//     (every entry read; /0) and through the handle that stored them
-//     (index memo; /1).
+//   BM_CacheLookupHit, BM_EncodeRow — the two costs of a served cache hit:
+//     one ResultCache::lookup of a stored entry (file read plus full
+//     decode) and one protocol row line.
 
 #include <benchmark/benchmark.h>
 
@@ -933,24 +929,6 @@ void BM_EncodeRow(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeRow);
-
-void BM_WriteIndex(benchmark::State& state) {
-  const BenchCacheDir dir(static_cast<std::size_t>(state.range(0)));
-  const bool memo = state.range(1) != 0;
-  dir.cache->write_index();
-  for (auto _ : state) {
-    if (memo) {
-      dir.cache->write_index();
-    } else {
-      const ResultCache fresh(dir.path);
-      fresh.write_index();
-    }
-  }
-}
-BENCHMARK(BM_WriteIndex)
-    ->Args({832, 0})
-    ->Args({832, 1})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dyngossip

@@ -18,10 +18,9 @@ namespace {
 constexpr const char* kCacheUsage =
     "usage: dyngossip cache <info|verify|gc> --dir=PATH [--json] [--all]\n"
     "\n"
-    "  info    summarize the cache (entries, bytes, staging files, index)\n"
+    "  info    summarize the cache (entries, bytes, staging files)\n"
     "  verify  validate every entry; exit 1 if any entry is corrupt\n"
-    "  gc      remove staging files + corrupt entries (--all: every entry)\n"
-    "          and rewrite the index\n";
+    "  gc      remove staging files + corrupt entries (--all: every entry)\n";
 
 int cmd_info(ResultCache& cache, bool json) {
   const CacheInfo info = cache.info();
@@ -34,7 +33,6 @@ int cmd_info(ResultCache& cache, bool json) {
     doc.set("bytes", JsonValue::number(static_cast<double>(info.bytes)));
     doc.set("tmp_files",
             JsonValue::number(static_cast<double>(info.tmp_files)));
-    doc.set("index_present", JsonValue::boolean(info.index_present));
     std::cout << doc.dump(2) << "\n";
     return 0;
   }
@@ -43,7 +41,6 @@ int cmd_info(ResultCache& cache, bool json) {
   std::printf("  entries:   %zu (%llu bytes)\n", info.entries,
               static_cast<unsigned long long>(info.bytes));
   std::printf("  staging:   %zu tmp file(s)\n", info.tmp_files);
-  std::printf("  index:     %s\n", info.index_present ? "present" : "absent");
   return 0;
 }
 

@@ -31,6 +31,13 @@ namespace {
   return jobs == 1;
 }
 
+/// Whether the cache may serve and store `key`'s row: decided by the family
+/// of its adversary spec (the text before ':').
+[[nodiscard]] bool cacheable_key(const RunKey& key) {
+  return cacheable_adversary_family(
+      key.adversary.substr(0, key.adversary.find(':')));
+}
+
 }  // namespace
 
 bool cacheable_adversary_family(const std::string& family) noexcept {
@@ -93,7 +100,7 @@ std::vector<MemoOutcome> memoized_sweep(const std::vector<KeyedTrial>& trials,
   std::vector<std::size_t> misses;
   misses.reserve(trials.size());
   for (std::size_t i = 0; i < trials.size(); ++i) {
-    if (cache != nullptr && trials[i].cacheable) {
+    if (cache != nullptr && cacheable_key(trials[i].key)) {
       if (std::optional<CachedResult> hit = cache->lookup(trials[i].key)) {
         out[i].row = *hit;
         out[i].from_cache = true;
@@ -132,15 +139,10 @@ std::vector<MemoOutcome> memoized_sweep(const std::vector<KeyedTrial>& trials,
   }
 
   if (cache != nullptr) {
-    bool stored = false;
     for (const std::size_t idx : misses) {
       const KeyedTrial& trial = trials[idx];
-      if (trial.cacheable && cache_should_store(out[idx].row.metrics.status)) {
-        cache->store(trial.key, out[idx].row);
-        stored = true;
-      }
+      if (cacheable_key(trial.key)) cache->store(trial.key, out[idx].row);
     }
-    if (stored) cache->write_index();
   }
   if (sink != nullptr) {
     for (std::size_t i = 0; i < trials.size(); ++i) {

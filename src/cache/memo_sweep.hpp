@@ -1,22 +1,24 @@
 // Keyed trials and the memoized sweep scheduler: the one executor between
 // the scenario tables and the content-addressed result cache.
 //
-// A keyed trial is a RunKey plus how the scenario wants its row: whether the
-// cache may serve/store it and the probe series label it registers under.
-// The key is the whole trial — run_keyed builds the adversary, the fault
-// plan and the algorithm's build context from it alone — so a cached row and
-// the run that computed it can never disagree.
+// A keyed trial is a RunKey plus the probe series label its row registers
+// under.  The key is the whole trial — run_keyed builds the adversary, the
+// fault plan and the algorithm's build context from it alone — so a cached
+// row and the run that computed it can never disagree, and whether a row may
+// be cached is a property of the key too (cacheable_adversary_family on its
+// adversary family).
 //
 // memoized_sweep consults the cache for every cacheable key first, schedules
 // ONLY the misses across the thread pool (a lone miss runs on the caller
-// thread with the pool handed to its engines, more fan out), writes
-// store-eligible results back, and returns outcomes in input order — so a
-// warm re-run of a sweep skips straight to aggregation.  It also owns the
-// observer plane: one probe per trial, the timeline, the per-trial timeout,
-// and series registration in input order.  Attached observers force cold
-// runs so the series cover every trial.  By the purity invariant the
-// outcomes are bit-identical with or without a cache, which is what the CI
-// warm-vs-cold byte-identity gate checks end to end.
+// thread with the pool handed to its engines, more fan out), hands the
+// cacheable results to ResultCache::store (which refuses host-dependent
+// timeouts), and returns outcomes in input order — so a warm re-run of a
+// sweep skips straight to aggregation.  It also owns the observer plane: one
+// probe per trial, the timeline, the per-trial timeout, and series
+// registration in input order.  Attached observers force cold runs so the
+// series cover every trial.  By the purity invariant the outcomes are
+// bit-identical with or without a cache, which is what the CI warm-vs-cold
+// byte-identity gate checks end to end.
 #pragma once
 
 #include <functional>
@@ -37,12 +39,10 @@ namespace dyngossip {
 /// carries the pool, observers and timeout; its `faults` is ignored.
 [[nodiscard]] CachedResult run_keyed(const RunKey& key, const RunOptions& opts);
 
-/// One schedulable trial: its canonical identity, whether the cache may
-/// serve/store it, its probe series label, and the closure that computes it
-/// cold.
+/// One schedulable trial: its canonical identity, its probe series label,
+/// and the closure that computes it cold.
 struct KeyedTrial {
   RunKey key;
-  bool cacheable = false;
   /// Probe series label, registered in input order when a sink is attached;
   /// empty registers no series (and attaches no probe).
   std::string series;

@@ -1,7 +1,6 @@
 #include "cache/result_cache.hpp"
 
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -36,10 +35,6 @@ RunResult to_run_result(const CachedResult& row) {
   run.rounds = row.metrics.rounds;
   run.completed = row.metrics.completed;
   return run;
-}
-
-bool cache_should_store(RunStatus status) noexcept {
-  return status != RunStatus::kTimeout;
 }
 
 namespace {
@@ -203,19 +198,6 @@ struct DecodedEntry {
   return body;
 }
 
-/// One index.jsonl entry line.
-[[nodiscard]] std::string index_line(const std::string& digest,
-                                     std::uint32_t schema,
-                                     const std::string& key_text,
-                                     std::uint64_t checksum) {
-  JsonValue line = JsonValue::object();
-  line.set("digest", JsonValue::str(digest));
-  line.set("schema", JsonValue::number(static_cast<double>(schema)));
-  line.set("key", JsonValue::str(key_text));
-  line.set("checksum", JsonValue::str(checksum_hex(checksum)));
-  return line.dump();
-}
-
 [[nodiscard]] bool is_tmp_name(const std::string& name) {
   return name.find(".tmp-") != std::string::npos;
 }
@@ -248,16 +230,6 @@ std::atomic<std::uint64_t> g_tmp_counter{0};
 
 }  // namespace
 
-std::optional<ResultCache::FileStamp> ResultCache::stamp_of(
-    const std::string& path) {
-  struct stat st {};
-  if (::stat(path.c_str(), &st) != 0) return std::nullopt;
-  return FileStamp{static_cast<std::uint64_t>(st.st_ino),
-                   static_cast<std::int64_t>(st.st_size),
-                   static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1'000'000'000 +
-                       st.st_mtim.tv_nsec};
-}
-
 ResultCache::ResultCache(std::string dir)
     : dir_(std::move(dir)), objects_dir_((fs::path(dir_) / "objects").string()) {
   std::error_code ec;
@@ -273,8 +245,6 @@ std::string ResultCache::entry_path(const RunKey& key) const {
 }
 
 std::string ResultCache::digest_path(std::uint64_t digest) const {
-  // The same spelling the directory walks produce (objects / hh / name),
-  // so a stored entry's index memo is found again by its walked path.
   const std::string hex = digest_hex(digest);
   std::string path = objects_dir_;
   path += '/';
@@ -308,82 +278,20 @@ std::optional<CachedResult> ResultCache::lookup(const RunKey& key) {
 }
 
 void ResultCache::store(const RunKey& key, const CachedResult& row) {
-  const std::string text = key.canonical_text();
-  const std::uint64_t digest = fnv1a64(text);
-  const std::string path = digest_path(digest);
+  // A timeout depends on the machine, not the key: never cached.
+  if (row.metrics.status == RunStatus::kTimeout) return;
+  const std::string path = entry_path(key);
   std::error_code ec;
   if (fs::exists(path, ec)) return;  // identical by key purity
   fs::create_directories(fs::path(path).parent_path(), ec);
   if (!publish_file(path, encode_entry(key, row))) return;
-  // Remember the index line with the stamp the next directory walk will
-  // see, so write_index need not read this entry back.
-  const std::optional<FileStamp> stamp = stamp_of(path);
   std::lock_guard<std::mutex> lock(mu_);
   ++stats_.stores;
-  if (stamp) {
-    stored_.push_back({path, {*stamp, index_line(digest_hex(digest), key.schema,
-                                                 text, row.checksum)}});
-  }
 }
 
 CacheStats ResultCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
-}
-
-void ResultCache::write_index() const {
-  std::lock_guard<std::mutex> index_lock(index_mu_);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [path, memo] : stored_) {
-      index_memo_.insert_or_assign(std::move(path), std::move(memo));
-    }
-    stored_.clear();
-  }
-  // Walk the store; an entry whose (inode, size, mtime) matches the memo
-  // keeps its remembered line, any other is read and decoded afresh.  The
-  // memo is rebuilt from this walk, so removed entries leave it.
-  std::unordered_map<std::string, IndexMemo> seen;
-  std::vector<std::string> lines;
-  std::error_code ec;
-  for (auto it = fs::recursive_directory_iterator(objects_dir_, ec);
-       !ec && it != fs::recursive_directory_iterator(); it.increment(ec)) {
-    if (!it->is_regular_file(ec)) continue;
-    if (is_tmp_name(it->path().filename().string())) continue;
-    if (it->path().extension() != ".json") continue;
-    std::string path = it->path().string();
-    const std::optional<FileStamp> stamp = stamp_of(path);
-    if (!stamp) continue;
-    IndexMemo memo{*stamp, {}};
-    const auto known = index_memo_.find(path);
-    if (known != index_memo_.end() && known->second.stamp == *stamp) {
-      memo.line = std::move(known->second.line);
-    } else {
-      try {
-        const DecodedEntry e = decode_entry(read_file(path));
-        memo.line = index_line(it->path().stem().string(), e.schema,
-                               e.key_text, e.row.checksum);
-      } catch (const std::exception&) {
-        continue;  // verify reports corruption; the index just skips it.
-      }
-    }
-    lines.push_back(memo.line);
-    seen.insert_or_assign(std::move(path), std::move(memo));
-  }
-  index_memo_ = std::move(seen);
-
-  std::sort(lines.begin(), lines.end());
-  JsonValue header = JsonValue::object();
-  header.set("cache", JsonValue::str("dyngossip-result-cache"));
-  header.set("schema",
-             JsonValue::number(static_cast<double>(kCacheSchemaVersion)));
-  header.set("entries", JsonValue::number(static_cast<double>(lines.size())));
-  std::string body = header.dump() + "\n";
-  for (const std::string& line : lines) {
-    body += line;
-    body += '\n';
-  }
-  (void)publish_file((fs::path(dir_) / "index.jsonl").string(), body);
 }
 
 CacheInfo ResultCache::info() const {
@@ -400,7 +308,6 @@ CacheInfo ResultCache::info() const {
       info.bytes += static_cast<std::uint64_t>(it->file_size(ec));
     }
   }
-  info.index_present = fs::exists(fs::path(dir_) / "index.jsonl", ec);
   return info;
 }
 
@@ -463,7 +370,6 @@ CacheGcReport ResultCache::gc(bool all) {
     }
   }
   for (const fs::path& path : to_remove) fs::remove(path, ec);
-  write_index();
   return report;
 }
 

@@ -5,16 +5,13 @@
 //   objects/<hh>/<16-hex-digest>.json   one entry per RunKey, fanned out by
 //                                       the digest's top byte; written to a
 //                                       sibling .tmp-* file and published by
-//                                       atomic rename (the PR 7 TraceWriter
+//                                       atomic rename (the TraceWriter
 //                                       pattern), so readers never see a
 //                                       truncated entry
-//   index.jsonl                         snapshot listing of every entry
-//                                       (header line + one line per entry),
-//                                       itself written tmp+rename; purely an
-//                                       accelerator for `cache info` — the
-//                                       object files are the authority and a
-//                                       stale or missing index is never an
-//                                       error
+//
+// The object files are the whole cache: `cache info`, `verify` and `gc`
+// walk objects/.  Other files in the directory (such as the index an older
+// binary wrote) are ignored.
 //
 // Read contract: corruption-tolerant.  A missing file, unparseable JSON, a
 // schema-generation mismatch, a key-text mismatch (digest collision), or a
@@ -24,28 +21,17 @@
 // A lookup is one open/read/close of the entry plus a full decode: every
 // guard above runs on every hit.
 //
-// Index memo: the handle remembers the index line of each entry it stored
-// or decoded during a write_index walk, with that file's (inode, size,
-// mtime).  write_index re-reads only entries whose stamp differs, so a
-// rewrite after a few stores costs a directory walk and a stat per entry.
-// lookup, verify and gc never use the memo.  Because the index stays
-// advisory, the memo may trust a stamp that an in-place rewrite within the
-// filesystem's timestamp granularity left unchanged; lookup and verify
-// still read such an entry in full.
-//
-// Write contract: the caller only stores terminal, machine-independent
-// rows; RunStatus::kTimeout must bypass write-back (a timeout is a property
-// of the host, not of the key) — enforced by cache_should_store below and
-// the memoized sweep scheduler.  A kStalled row is stored: the stall
-// window counts quiet rounds, so it is a pure function of the key.
+// Write contract: store() only publishes terminal, machine-independent
+// rows.  It refuses a RunStatus::kTimeout row itself (a timeout is a
+// property of the host, not of the key), so no caller can forget the
+// policy.  A kStalled row is stored: the stall window counts quiet rounds,
+// so it is a pure function of the key.
 #pragma once
 
 #include <cstdint>
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "cache/run_key.hpp"
@@ -69,11 +55,6 @@ struct CachedResult {
 
 /// Reconstructs the RunResult a cached row stands for.
 [[nodiscard]] RunResult to_run_result(const CachedResult& row);
-
-/// The write-back policy: only host-independent outcomes are cacheable.
-/// kTimeout (wall-clock watchdog) depends on the machine, not the key;
-/// kStalled (a count of rounds without a learning) does not.
-[[nodiscard]] bool cache_should_store(RunStatus status) noexcept;
 
 /// Hit/miss/store counters (process-local, for the CLI summary and the
 /// serve rows' `cached` flag plumbing).
@@ -103,7 +84,6 @@ struct CacheInfo {
   std::size_t entries = 0;
   std::uint64_t bytes = 0;
   std::size_t tmp_files = 0;
-  bool index_present = false;
 };
 
 class ResultCache {
@@ -122,56 +102,31 @@ class ResultCache {
   [[nodiscard]] std::optional<CachedResult> lookup(const RunKey& key);
 
   /// Publishes `row` under `key` (atomic tmp+rename; a row already present
-  /// is left untouched — by key purity it is byte-equivalent).  The caller
-  /// is responsible for the cache_should_store policy.  Thread-safe.
+  /// is left untouched — by key purity it is byte-equivalent).  A kTimeout
+  /// row publishes nothing and counts no store (see file comment).
+  /// Thread-safe.
   void store(const RunKey& key, const CachedResult& row);
 
   /// Counters accumulated by this handle.  Thread-safe.
   [[nodiscard]] CacheStats stats() const;
 
-  /// Rewrites index.jsonl from the object store (atomic tmp+rename),
-  /// re-reading only entries the index memo does not know under their
-  /// current stamp (see file comment).  Thread-safe; rewrites through one
-  /// handle are serialized.
-  void write_index() const;
-
   [[nodiscard]] CacheInfo info() const;
   [[nodiscard]] CacheVerifyReport verify() const;
 
   /// Removes .tmp-* staging files and corrupt entries always; with `all`,
-  /// every entry (the index is rewritten afterwards).
+  /// every entry.
   CacheGcReport gc(bool all);
 
   /// On-disk path of `key`'s entry (exposed for tests that corrupt it).
   [[nodiscard]] std::string entry_path(const RunKey& key) const;
 
  private:
-  /// What identifies one version of an entry file in a directory walk.
-  struct FileStamp {
-    std::uint64_t inode = 0;
-    std::int64_t size = 0;
-    std::int64_t mtime_ns = 0;
-    bool operator==(const FileStamp&) const = default;
-  };
-  /// An entry's index line and the stamp of the file it was derived from.
-  struct IndexMemo {
-    FileStamp stamp;
-    std::string line;
-  };
-
-  [[nodiscard]] static std::optional<FileStamp> stamp_of(const std::string& path);
   [[nodiscard]] std::string digest_path(std::uint64_t digest) const;
 
   std::string dir_;
   std::string objects_dir_;  ///< dir_/objects, as the directory walks spell it
   mutable std::mutex mu_;
   CacheStats stats_;
-  /// Index memos of entries stored since the last write_index (guarded by
-  /// mu_, so stores never wait on a rewrite).
-  mutable std::vector<std::pair<std::string, IndexMemo>> stored_;
-  /// Serializes write_index and guards index_memo_ (walked path → memo).
-  mutable std::mutex index_mu_;
-  mutable std::unordered_map<std::string, IndexMemo> index_memo_;
 };
 
 }  // namespace dyngossip

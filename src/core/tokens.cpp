@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/check.hpp"
+#include "common/rng.hpp"
 
 namespace dyngossip {
 
@@ -85,6 +86,13 @@ std::vector<KnowledgeSet> TokenSpace::initial_knowledge(std::size_t n) const {
     for (const TokenId t : tokens_[i]) knowledge[nodes_[i]].set(t);
   }
   return knowledge;
+}
+
+std::vector<KnowledgeSet> one_holder_per_token(std::size_t n, std::size_t k,
+                                               Rng& rng) {
+  std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
+  for (std::size_t t = 0; t < k; ++t) init[rng.next_below(n)].set(t);
+  return init;
 }
 
 }  // namespace dyngossip

@@ -22,6 +22,8 @@
 
 namespace dyngossip {
 
+class Rng;
+
 /// Sentinel for "node is not a source".
 inline constexpr std::size_t kNotASource = static_cast<std::size_t>(-1);
 
@@ -87,5 +89,10 @@ class TokenSpace {
 
 /// Shared immutable handle used by per-node algorithm instances.
 using TokenSpacePtr = std::shared_ptr<const TokenSpace>;
+
+/// K_v(0) with one random holder per token: token t = 0, 1, ..., k-1 (in
+/// that draw order) starts at node rng.next_below(n) only.
+[[nodiscard]] std::vector<KnowledgeSet> one_holder_per_token(std::size_t n,
+                                                             std::size_t k, Rng& rng);
 
 }  // namespace dyngossip

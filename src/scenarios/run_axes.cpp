@@ -62,20 +62,11 @@ std::optional<TracePinned> trace_pinned(const RunAxes& axes) {
   const TraceHeader& header = source->header();
   const std::map<std::string, std::string> meta =
       parse_trace_metadata(header.metadata);
-  const auto meta_int = [&meta](const char* key, std::int64_t def) {
-    const auto m = meta.find(key);
-    if (m == meta.end()) return def;
-    try {
-      return static_cast<std::int64_t>(std::stoll(m->second));
-    } catch (const std::exception&) {
-      return def;  // foreign trace with free-form metadata: fall back
-    }
-  };
   TracePinned pin;
   pin.n = header.n;
-  pin.k = static_cast<std::uint32_t>(meta_int("k", 0));
-  pin.sources = static_cast<std::size_t>(meta_int("sources", 0));
-  pin.cap = static_cast<Round>(meta_int("cap", 0));
+  pin.k = static_cast<std::uint32_t>(trace_metadata_int(meta, "k", 0));
+  pin.sources = static_cast<std::size_t>(trace_metadata_int(meta, "sources", 0));
+  pin.cap = static_cast<Round>(trace_metadata_int(meta, "cap", 0));
   if (meta.count("algo") != 0u) pin.algo = meta.at("algo");
   return pin;
 }
@@ -147,8 +138,8 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
 
   // Keyed trials: each trial's identity is its canonical
   // (algo × adversary × fault × shape × seed) tuple, so a warm re-run
-  // serves rows straight from the cache; file-backed adversary families are
-  // never cacheable (the key cannot pin the file's content).
+  // serves rows straight from the cache; memoized_sweep never caches
+  // file-backed adversary families (the key cannot pin the file's content).
   const std::string fault_text = axes.fault_spec().to_string();
   std::vector<KeyedTrial> sweep;
   sweep.reserve(rows.size() * trials);
@@ -162,7 +153,6 @@ ScenarioTable run_axes_table(const ScenarioContext& ctx, const RunAxes& axes,
       KeyedTrial trial;
       trial.key = make_run_key(algo_text, adv_text, fault_text, row.n, row.k,
                                row.sources, row.cap, seed_base + 37 * row.n + i);
-      trial.cacheable = cacheable_adversary_family(adv.family);
       trial.series = algo_text + " " + adv_text + " n=" + std::to_string(row.n) +
                      " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));

@@ -16,6 +16,7 @@
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "core/single_source.hpp"
+#include "core/tokens.hpp"
 #include "engine/unicast_engine.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
@@ -116,8 +117,7 @@ struct LbTrial {
 
 LbTrial lb_trial(std::size_t n, std::size_t k, bool full, std::size_t i) {
   Rng rng(37'000 + i);
-  std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
-  for (std::size_t t = 0; t < k; ++t) init[rng.next_below(n)].set(t);
+  const std::vector<KnowledgeSet> init = one_holder_per_token(n, k, rng);
   AdversarySpec spec{"lb", {}};
   if (full) spec.set("full", "true");
   AdversaryBuildContext bctx;

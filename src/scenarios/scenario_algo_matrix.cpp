@@ -121,7 +121,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
       KeyedTrial trial;
       trial.key = make_run_key(algo_text, sched_text, fault_text, n, k, 4, cap,
                                47'000 + 37 * n + i);
-      trial.cacheable = cacheable_adversary_family(cell.sched->family);
       trial.series = algo_text + " " + sched_text + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));
     }

@@ -87,7 +87,8 @@ ScenarioResult run(const ScenarioContext& ctx) {
   // so regime comparisons are paired, and the zero-fault cell's plan is
   // inactive (exact fault-free code path).  Each (algo, trial) also gets a
   // fault-free control keyed with an empty fault spec: it runs with no
-  // FaultPlan object at all, is never cached, and registers no series.
+  // FaultPlan object at all, caches under its own key, and registers no
+  // series.
   const std::string sched_text = sched.to_string();
   const auto trial_key = [&](std::size_t a, const std::string& fault,
                              std::size_t i) {
@@ -105,7 +106,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
       for (std::size_t i = 0; i < trials; ++i) {
         KeyedTrial trial;
         trial.key = trial_key(a, fspec.to_string(), i);
-        trial.cacheable = true;
         trial.series = algos[a].to_string() +
                        " drop=" + TablePrinter::num(regime.drop, 3) +
                        " crash=" + TablePrinter::num(regime.crash, 3) +

@@ -15,18 +15,13 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "core/tokens.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
 #include "sim/runner/parallel.hpp"
 
 namespace dyngossip {
 namespace {
-
-std::vector<KnowledgeSet> one_per_token(std::size_t n, std::size_t k, Rng& rng) {
-  std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
-  for (std::size_t t = 0; t < k; ++t) init[rng.next_below(n)].set(t);
-  return init;
-}
 
 struct TrialOut {
   bool ok = false;
@@ -48,7 +43,7 @@ ScenarioResult run(const ScenarioContext& ctx) {
         const std::size_t n = sizes[r];
         const std::size_t k = n / 2;
         Rng rng(7'000 + 31 * n + i);
-        const auto init = one_per_token(n, k, rng);
+        const auto init = one_holder_per_token(n, k, rng);
         AdversaryBuildContext bctx;
         bctx.n = n;
         bctx.seed = rng.next();

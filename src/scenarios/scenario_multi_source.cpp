@@ -63,7 +63,6 @@ std::vector<MemoOutcome> sweep_rows(const std::vector<Row>& rows,
       trial.key = make_run_key("multi_source", row.schedule.to_string(),
                                fault_text, row.n, row.k, row.s, row.cap,
                                row.seed0 + i);
-      trial.cacheable = true;
       trial.series = row.label + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));
     }

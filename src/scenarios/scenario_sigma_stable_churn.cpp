@@ -117,7 +117,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
           "single_source", adv_text, fault_text, spec.n, spec.k, 1, spec.cap,
           11'000 + 17 * spec.n + 5 * spec.sigma + i +
               static_cast<std::uint64_t>(100.0 * spec.churn_rate));
-      trial.cacheable = true;
       trial.series = "sigma_stable_churn " + adv_text +
                      " n=" + std::to_string(spec.n) + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));

@@ -130,7 +130,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
       trial.key = make_run_key(
           "single_source", case_spec(spec.c, spec.n, spec.target_edges).to_string(),
           fault_text, spec.n, spec.k, 1, horizon, 9'000 + 13 * spec.n + i);
-      trial.cacheable = true;
       trial.series = "single_source " + std::string(spec.c.name) +
                      " n=" + std::to_string(spec.n) + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));

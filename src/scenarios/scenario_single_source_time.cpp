@@ -57,7 +57,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
       trial.key = make_run_key("single_source", churn_text, fault_text, spec.n,
                                spec.k, 1, static_cast<Round>(100 * spec.n * spec.k),
                                11'000 + 17 * spec.n + 3 * spec.kf + spec.sigma + i);
-      trial.cacheable = true;
       trial.series = "single_source_time n=" + std::to_string(spec.n) +
                      " k=" + std::to_string(spec.k) +
                      " sigma=" + std::to_string(spec.sigma) +

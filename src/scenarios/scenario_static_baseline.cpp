@@ -30,7 +30,6 @@ ScenarioResult run(const ScenarioContext& ctx) {
     KeyedTrial trial;
     trial.key = make_run_key("spanning_tree", "static", fault_text, n, k, 1,
                              static_cast<Round>(10 * (n + k) + 100), /*seed=*/1);
-    trial.cacheable = true;
     trial.series = "static_baseline k=" + std::to_string(k);
     sweep.push_back(std::move(trial));
   }

@@ -16,7 +16,7 @@
 // the ring's Θ(n) diameter bottleneck — the `rounds` column should FALL as
 // flips grow, in both engines.
 //
-// Every trial is one pool job keyed for the result cache (Table 1 rows are
+// Every trial is a keyed trial run through memoized_sweep (Table 1 rows are
 // cacheable; smoothed rows are file-backed and never cache), statistics
 // fold in trial order, and the async engine is serial by design — so output
 // is bit-identical at any thread count (CI diffs 1/2/8-thread runs).
@@ -107,7 +107,6 @@ ScenarioTable grid_table(const ScenarioContext& ctx,
       trial.key = make_run_key(algo_text, cell.adv.to_string(), fault_text,
                                cell.n, cell.k, 1, cell.cap,
                                seed_base + 37 * cell.n + i);
-      trial.cacheable = cacheable_adversary_family(cell.adv.family);
       trial.series = "sync_vs_async " + algo_text + " " + cell.label +
                      " n=" + std::to_string(cell.n) + " trial=" + std::to_string(i);
       sweep.push_back(std::move(trial));

@@ -15,6 +15,7 @@
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
+#include "core/tokens.hpp"
 #include "scenarios/run_axes.hpp"
 #include "scenarios/scenarios.hpp"
 #include "sim/bounds.hpp"
@@ -52,8 +53,7 @@ ScenarioResult run(const ScenarioContext& ctx) {
             .set("churn", static_cast<std::uint64_t>(n / 8))
             .set("sigma", static_cast<std::uint64_t>(3));
         Rng rng(seed);
-        std::vector<KnowledgeSet> init(n, KnowledgeSet(k));
-        for (std::size_t t = 0; t < k; ++t) init[rng.next_below(n)].set(t);
+        const std::vector<KnowledgeSet> init = one_holder_per_token(n, k, rng);
         TrialOut& slot = out[r][i];
         // One task for all three algorithms: n nodes, k tokens, K_v(0) the
         // random placement above (flooding, push) or node 0 (Algorithm 1).

@@ -1,5 +1,7 @@
 #include "serve/protocol.hpp"
 
+#include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "metrics/accounting.hpp"
@@ -13,8 +15,16 @@ namespace {
   return JsonValue::number(static_cast<double>(v));
 }
 
+/// The largest integer a JSON number (a double) carries exactly.
+constexpr std::uint64_t kMaxExactInteger = std::uint64_t{1} << 53;
+
+/// A non-negative integral field no larger than `max` (at most
+/// kMaxExactInteger), checked before the caller narrows it to the field's
+/// type, so an out-of-range or fractional value never wraps or truncates
+/// into range.
 [[nodiscard]] std::uint64_t u64_field(const JsonValue& doc, const char* name,
-                                      std::uint64_t def, bool required) {
+                                      std::uint64_t def, bool required,
+                                      std::uint64_t max = kMaxExactInteger) {
   const JsonValue* v = doc.find(name);
   if (v == nullptr) {
     if (required) {
@@ -23,11 +33,14 @@ namespace {
     }
     return def;
   }
-  if (v->type() != JsonValue::Type::kNumber || v->as_number() < 0) {
+  // A non-number reads as -1 and fails the same check as a negative value.
+  const double d = v->type() == JsonValue::Type::kNumber ? v->as_number() : -1.0;
+  if (!(d >= 0) || d != std::floor(d) || d > static_cast<double>(max)) {
     throw std::runtime_error(std::string("request field '") + name +
-                             "' must be a non-negative number");
+                             "' must be an integer in [0, " +
+                             std::to_string(max) + "]");
   }
-  return static_cast<std::uint64_t>(v->as_number());
+  return static_cast<std::uint64_t>(d);
 }
 
 [[nodiscard]] std::string str_field(const JsonValue& doc, const char* name,
@@ -76,9 +89,11 @@ SweepRequest decode_sweep_request(const std::string& line) {
   req.adversary = str_field(doc, "adversary", "", true);
   req.fault = str_field(doc, "fault", req.fault, false);
   req.n = static_cast<std::size_t>(u64_field(doc, "n", 0, true));
-  req.k = static_cast<std::uint32_t>(u64_field(doc, "k", 0, true));
+  req.k = static_cast<std::uint32_t>(
+      u64_field(doc, "k", 0, true, std::numeric_limits<std::uint32_t>::max()));
   req.sources = static_cast<std::size_t>(u64_field(doc, "sources", 4, false));
-  req.cap = static_cast<Round>(u64_field(doc, "cap", 0, false));
+  req.cap = static_cast<Round>(
+      u64_field(doc, "cap", 0, false, std::numeric_limits<Round>::max()));
   req.trials = static_cast<std::size_t>(u64_field(doc, "trials", 1, false));
   req.seed_base = u64_field(doc, "seed_base", 0, false);
   if (req.n < 2 || req.n > 1'000'000) {

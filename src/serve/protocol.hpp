@@ -14,8 +14,8 @@
 // against a direct `dyngossip run` of the same grid; `cached` marks rows
 // that never re-ran (result cache or in-flight dedup).  Line JSON was
 // chosen over a length-prefixed framing because every existing artifact in
-// this repo (traces, probes, the cache index) is line-oriented and
-// jq-able; the framing cost is one '\n' scan per message.
+// this repo (traces, probes) is line-oriented and jq-able; the framing cost
+// is one '\n' scan per message.
 #pragma once
 
 #include <cstdint>

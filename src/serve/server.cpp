@@ -183,10 +183,7 @@ void SweepService::run_sweep(
       std::string error;
       try {
         row = run_keyed(key, RunOptions{});
-        if (cacheable && cache_ != nullptr &&
-            cache_should_store(row.metrics.status)) {
-          cache_->store(key, row);
-        }
+        if (cacheable && cache_ != nullptr) cache_->store(key, row);
       } catch (const std::exception& e) {
         error = e.what();
       }
@@ -231,7 +228,6 @@ void SweepService::run_sweep(
     emit(encode_row(i, slot.seed, slot.cached, slot.row));
   }
   scheduler_.close_session(session);
-  if (cacheable && cache_ != nullptr && misses > 0) cache_->write_index();
   emit(encode_done(hits, misses));
 }
 

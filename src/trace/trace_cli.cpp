@@ -208,16 +208,6 @@ int cmd_replay(const CliArgs& args) {
   const TraceHeader& header = adversary.trace_header();
   const std::map<std::string, std::string> meta =
       parse_trace_metadata(header.metadata);
-  auto meta_or = [&meta](const char* key, std::int64_t def) {
-    const auto it = meta.find(key);
-    if (it == meta.end()) return def;
-    try {
-      return static_cast<std::int64_t>(std::stoll(it->second));
-    } catch (const std::exception&) {
-      return def;  // foreign trace with free-form metadata: fall back
-    }
-  };
-
   // The recording's metadata embeds the canonical algorithm spec, so a
   // bare `trace replay` re-runs exactly the recorded algorithm; --algo=SPEC
   // replays the schedule under a different one (cross-algorithm replay).
@@ -236,11 +226,12 @@ int cmd_replay(const CliArgs& args) {
   }
   AlgoBuildContext actx;
   actx.n = header.n;
-  actx.k = static_cast<std::uint32_t>(args.get_int("k", meta_or("k", 128)));
-  actx.sources =
-      static_cast<std::size_t>(args.get_int("sources", meta_or("sources", 4)));
-  actx.cap = static_cast<Round>(args.get_int("cap", meta_or("cap", 0)));
-  actx.seed = static_cast<std::uint64_t>(meta_or("seed", 1));
+  actx.k = static_cast<std::uint32_t>(
+      args.get_int("k", trace_metadata_int(meta, "k", 128)));
+  actx.sources = static_cast<std::size_t>(
+      args.get_int("sources", trace_metadata_int(meta, "sources", 4)));
+  actx.cap = static_cast<Round>(args.get_int("cap", trace_metadata_int(meta, "cap", 0)));
+  actx.seed = static_cast<std::uint64_t>(trace_metadata_int(meta, "seed", 1));
 
   // Fault replay defaults to the recording's embedded spec (so a recording
   // made under faults reproduces bit-identically); --fault=SPEC overrides,

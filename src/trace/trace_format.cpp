@@ -32,4 +32,15 @@ std::map<std::string, std::string> parse_trace_metadata(const std::string& metad
   return out;
 }
 
+std::int64_t trace_metadata_int(const std::map<std::string, std::string>& meta,
+                                const std::string& key, std::int64_t def) {
+  const auto it = meta.find(key);
+  if (it == meta.end()) return def;
+  try {
+    return static_cast<std::int64_t>(std::stoll(it->second));
+  } catch (const std::exception&) {
+    return def;
+  }
+}
+
 }  // namespace dyngossip

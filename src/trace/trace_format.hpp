@@ -106,4 +106,11 @@ class TraceChecksum {
 [[nodiscard]] std::map<std::string, std::string> parse_trace_metadata(
     const std::string& metadata);
 
+/// The integer under `key` in parsed metadata, or `def` when the key is
+/// absent or its value is not an integer (a foreign trace's free-form
+/// metadata falls back, never errors).
+[[nodiscard]] std::int64_t trace_metadata_int(
+    const std::map<std::string, std::string>& meta, const std::string& key,
+    std::int64_t def);
+
 }  // namespace dyngossip

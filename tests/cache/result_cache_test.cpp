@@ -11,7 +11,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -185,13 +187,27 @@ TEST(ResultCache, ForeignSchemaEntryMissesAndVerifyCountsItForeign) {
 }
 
 TEST(ResultCache, OnlyTimeoutIsNeverStoreEligible) {
-  EXPECT_TRUE(cache_should_store(RunStatus::kCompleted));
-  EXPECT_TRUE(cache_should_store(RunStatus::kRoundCap));
-  EXPECT_TRUE(cache_should_store(RunStatus::kAllDown));
-  // A stall is a count of quiet rounds: a pure function of the key.
-  EXPECT_TRUE(cache_should_store(RunStatus::kStalled));
+  ResultCache cache(fresh_cache_dir("store_policy"));
   // Host-dependent outcome: a faster machine would not have timed out.
-  EXPECT_FALSE(cache_should_store(RunStatus::kTimeout));
+  const RunKey timed_out = key_with_seed(30);
+  cache.store(timed_out, sample_row(timed_out.n, RunStatus::kTimeout));
+  EXPECT_FALSE(std::filesystem::exists(cache.entry_path(timed_out)));
+  EXPECT_EQ(cache.stats().stores, 0u);
+  EXPECT_EQ(cache.info().entries, 0u);
+
+  // A stall is a count of quiet rounds: a pure function of the key, like
+  // every other terminal status.
+  const RunStatus stored[] = {RunStatus::kStalled, RunStatus::kRoundCap,
+                              RunStatus::kAllDown, RunStatus::kCompleted};
+  for (std::size_t i = 0; i < std::size(stored); ++i) {
+    const RunKey key = key_with_seed(31 + i);
+    cache.store(key, sample_row(key.n, stored[i]));
+    const std::optional<CachedResult> hit = cache.lookup(key);
+    ASSERT_TRUE(hit.has_value()) << run_status_name(stored[i]);
+    EXPECT_EQ(hit->metrics.status, stored[i]);
+  }
+  EXPECT_EQ(cache.stats().stores, std::size(stored));
+  EXPECT_FALSE(cache.lookup(timed_out).has_value());
 }
 
 /// The sweep's execution context: `pool`, plus the optional cache and
@@ -213,7 +229,6 @@ TEST(ResultCache, MemoizedSweepCachesStalledButNeverTimeoutRows) {
   const auto sweep_once = [&](RunStatus status) {
     std::vector<KeyedTrial> trials(1);
     trials[0].key = key_with_seed(status == RunStatus::kTimeout ? 10 : 11);
-    trials[0].cacheable = true;
     trials[0].run = [&runs, status, n = trials[0].key.n](const RunOptions&) {
       ++runs;
       return sample_row(n, status);
@@ -238,12 +253,14 @@ TEST(ResultCache, MemoizedSweepCachesStalledButNeverTimeoutRows) {
   EXPECT_FALSE(cache.lookup(key_with_seed(10)).has_value());
 }
 
-/// Three cacheable fake trials counting their cold runs in `runs`.
-std::vector<KeyedTrial> counted_trials(std::atomic<int>& runs) {
+/// Three fake trials counting their cold runs in `runs`, keyed on
+/// `adversary` (cacheable churn by default).
+std::vector<KeyedTrial> counted_trials(std::atomic<int>& runs,
+                                       const std::string& adversary = "churn:rate=0.5") {
   std::vector<KeyedTrial> trials(3);
   for (std::size_t i = 0; i < trials.size(); ++i) {
     trials[i].key = key_with_seed(20 + i);
-    trials[i].cacheable = true;
+    trials[i].key.adversary = adversary;
     trials[i].run = [&runs, n = trials[i].key.n](const RunOptions&) {
       ++runs;
       return sample_row(n);
@@ -272,12 +289,48 @@ TEST(ResultCache, MemoizedSweepServesHitsWithoutRerunning) {
     EXPECT_EQ(warm[i].row.metrics.tc, cold[i].row.metrics.tc);
   }
 
-  // Non-cacheable trials bypass the cache entirely, even when present.
-  std::vector<KeyedTrial> bypass = counted_trials(runs);
-  for (KeyedTrial& t : bypass) t.cacheable = false;
-  const std::vector<MemoOutcome> raw = memoized_sweep(bypass, ctx);
-  EXPECT_EQ(runs.load(), 6);
-  for (const MemoOutcome& o : raw) EXPECT_FALSE(o.from_cache);
+  // Keys on an adaptive or file-backed adversary family bypass the cache
+  // entirely, even when present: never served, never stored.
+  const CacheStats before = cache.stats();
+  for (const char* adversary : {"lb", "trace:file=x"}) {
+    SCOPED_TRACE(adversary);
+    for (int pass = 0; pass < 2; ++pass) {
+      const int runs_before = runs.load();
+      const std::vector<MemoOutcome> raw =
+          memoized_sweep(counted_trials(runs, adversary), ctx);
+      EXPECT_EQ(runs.load(), runs_before + 3);
+      for (const MemoOutcome& o : raw) EXPECT_FALSE(o.from_cache);
+    }
+  }
+  const CacheStats after = cache.stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(after.stores, before.stores);
+}
+
+TEST(ResultCache, MemoizedSweepCachesTheEmptyFaultControl) {
+  // fault_sweep's fault-free control: an empty key.fault is its own key,
+  // distinct from an inactive plan's, and caches like any other row.
+  ResultCache cache(fresh_cache_dir("control"));
+  ThreadPool pool(2);
+  const ScenarioContext ctx = sweep_context(pool, &cache);
+  std::vector<KeyedTrial> trials(2);
+  trials[0].key =
+      make_run_key("flooding", "churn:churn=2,edges=40", "", 16, 8, 1, 0, 3);
+  trials[1].key = trials[0].key;
+  trials[1].key.fault = "fault";
+  ASSERT_NE(trials[0].key.canonical_text(), trials[1].key.canonical_text());
+
+  const std::vector<MemoOutcome> cold = memoized_sweep(trials, ctx);
+  EXPECT_EQ(cache.stats().stores, 2u);
+  EXPECT_TRUE(std::filesystem::exists(cache.entry_path(trials[0].key)));
+  const std::vector<MemoOutcome> warm = memoized_sweep(trials, ctx);
+  for (std::size_t i = 0; i < trials.size(); ++i) {
+    EXPECT_FALSE(cold[i].from_cache);
+    EXPECT_TRUE(warm[i].from_cache);
+    EXPECT_EQ(warm[i].row.checksum, cold[i].row.checksum);
+  }
+  EXPECT_EQ(warm[0].row.checksum, warm[1].row.checksum);
 }
 
 TEST(ResultCache, MemoizedSweepRunsColdWhileAnObserverIsAttached) {
@@ -495,92 +548,20 @@ TEST(ResultCache, RunKeyedWithAnEmptyFaultSpecMatchesAnInactivePlan) {
             run_keyed(planned, RunOptions{}).checksum);
 }
 
-TEST(ResultCache, IndexAndInfoTrackTheObjectStore) {
-  ResultCache cache(fresh_cache_dir("index"));
+TEST(ResultCache, InfoTracksTheObjectStore) {
+  ResultCache cache(fresh_cache_dir("info"));
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     cache.store(key_with_seed(40 + seed), sample_row(24));
   }
-  EXPECT_FALSE(cache.info().index_present);
-  cache.write_index();
   const CacheInfo info = cache.info();
   EXPECT_EQ(info.entries, 4u);
-  EXPECT_TRUE(info.index_present);
   EXPECT_GT(info.bytes, 0u);
 
-  // gc --all empties the store and the rewritten index reflects that.
+  // gc --all empties the store.
   const CacheGcReport gc = cache.gc(/*all=*/true);
   EXPECT_EQ(gc.removed_entries, 4u);
   EXPECT_EQ(cache.info().entries, 0u);
   EXPECT_EQ(cache.verify().valid, 0u);
-}
-
-std::string read_index(const ResultCache& cache) {
-  std::ifstream in(cache.dir() + "/index.jsonl", std::ios::binary);
-  return std::string((std::istreambuf_iterator<char>(in)),
-                     std::istreambuf_iterator<char>());
-}
-
-/// The index a handle with an empty memo writes for the same directory.
-std::string fresh_index(const std::string& dir) {
-  const ResultCache fresh(dir);
-  fresh.write_index();
-  return read_index(fresh);
-}
-
-TEST(ResultCache, IndexRewriteMatchesAFreshHandle) {
-  const std::string dir = fresh_cache_dir("index_memo");
-  ResultCache cache(dir);
-  for (std::uint64_t seed = 0; seed < 6; ++seed) {
-    cache.store(key_with_seed(60 + seed), sample_row(24));
-  }
-  RunKey foreign = key_with_seed(70);
-  foreign.schema = kCacheSchemaVersion + 1;
-  cache.store(foreign, sample_row(24));
-  // First rewrite: every line comes from a store's memo.
-  cache.write_index();
-  const std::string first = read_index(cache);
-  EXPECT_EQ(first, fresh_index(dir));
-  EXPECT_NE(first.find("\"entries\":7"), std::string::npos) << first;
-  // Second rewrite: every line comes from the walk's memo.
-  cache.store(key_with_seed(80), sample_row(24));
-  cache.write_index();
-  const std::string second = read_index(cache);
-  EXPECT_EQ(second, fresh_index(dir));
-}
-
-TEST(ResultCache, IndexRewriteFollowsChangesMadeBehindTheHandle) {
-  const std::string dir = fresh_cache_dir("index_changes");
-  ResultCache cache(dir);
-  for (std::uint64_t seed = 0; seed < 4; ++seed) {
-    cache.store(key_with_seed(90 + seed), sample_row(24));
-  }
-  cache.write_index();
-  const auto listed = [&](std::uint64_t seed) {
-    return read_index(cache).find(key_with_seed(seed).canonical_text()) !=
-           std::string::npos;
-  };
-  ASSERT_TRUE(listed(90) && listed(91) && listed(92) && listed(93));
-
-  // Removed from disk, stored by another handle, truncated in place.
-  std::filesystem::remove(cache.entry_path(key_with_seed(90)));
-  {
-    ResultCache other(dir);
-    other.store(key_with_seed(94), sample_row(24));
-  }
-  const std::string truncated = cache.entry_path(key_with_seed(91));
-  std::filesystem::resize_file(truncated,
-                               std::filesystem::file_size(truncated) / 2);
-
-  cache.write_index();
-  EXPECT_FALSE(listed(90)) << "removed entry still indexed";
-  EXPECT_FALSE(listed(91)) << "truncated entry still indexed";
-  EXPECT_TRUE(listed(92));
-  EXPECT_TRUE(listed(93));
-  EXPECT_TRUE(listed(94)) << "another handle's entry not picked up";
-  const std::string rewritten = read_index(cache);
-  EXPECT_EQ(rewritten, fresh_index(dir));
-  // The handle still refuses the truncated entry on lookup.
-  EXPECT_FALSE(cache.lookup(key_with_seed(91)).has_value());
 }
 
 TEST(ResultCache, StoreIsIdempotentUnderTheSameKey) {

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.hpp"
+
 namespace dyngossip {
 namespace {
 
@@ -85,6 +87,22 @@ TEST(TokenSpace, InitialKnowledge) {
   EXPECT_TRUE(knowledge[2].test(2));
   EXPECT_EQ(knowledge[1].count(), 0u);
   EXPECT_EQ(knowledge[3].count(), 0u);
+}
+
+TEST(OneHolderPerToken, DrawsOneHolderPerTokenInTokenOrder) {
+  constexpr std::size_t kN = 7;
+  constexpr std::size_t kK = 40;
+  Rng rng(11);
+  const std::vector<KnowledgeSet> init = one_holder_per_token(kN, kK, rng);
+  ASSERT_EQ(init.size(), kN);
+  // Token t sits at the t-th draw of the same stream, and nowhere else; the
+  // caller's Rng is left just past the k draws.
+  Rng replay(11);
+  for (std::size_t t = 0; t < kK; ++t) {
+    const std::uint64_t holder = replay.next_below(kN);
+    for (std::size_t v = 0; v < kN; ++v) EXPECT_EQ(init[v].test(t), v == holder);
+  }
+  EXPECT_EQ(rng.next(), replay.next());
 }
 
 TEST(TokenSpaceDeath, OverlappingListsRejected) {

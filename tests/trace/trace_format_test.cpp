@@ -2,13 +2,16 @@
 // and the corrupt/truncated-input error paths.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <sstream>
+#include <string>
 
 #include "adversary/churn.hpp"
 #include "common/rng.hpp"
 #include "graph/connectivity.hpp"
 #include "graph/generators.hpp"
 #include "graph/round_view.hpp"
+#include "trace/trace_format.hpp"
 #include "trace/trace_gen.hpp"
 #include "trace/trace_reader.hpp"
 #include "trace/trace_writer.hpp"
@@ -312,6 +315,16 @@ TEST(TraceFormat, SmoothedTracePerturbsAndStaysConnected) {
   while (reader.next_round(g)) {
     EXPECT_TRUE(is_connected(g)) << "round " << reader.rounds_read();
   }
+}
+
+TEST(TraceFormat, MetadataIntegersFallBackOnForeignText) {
+  const std::map<std::string, std::string> meta =
+      parse_trace_metadata("k=64 cap=-3 algo=flooding: note free-form seed=x9");
+  EXPECT_EQ(trace_metadata_int(meta, "k", 128), 64);
+  EXPECT_EQ(trace_metadata_int(meta, "cap", 0), -3);
+  EXPECT_EQ(trace_metadata_int(meta, "sources", 4), 4);  // absent
+  EXPECT_EQ(trace_metadata_int(meta, "algo", 7), 7);     // not an integer
+  EXPECT_EQ(trace_metadata_int(meta, "seed", 1), 1);
 }
 
 }  // namespace
